@@ -14,9 +14,9 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .errors import DwcError
+from .errors import DwcError, FormatError
 from .fpt import DualAnswer, DualInstance, SolveStats, solve_dual
 from .formats import (
     detect_format,
@@ -65,7 +65,10 @@ def _classes_json(c: Coloring | None) -> list[list[int]] | None:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _answer_json(inst: DualInstance, ans: DualAnswer, emit_certificate: bool) -> dict:
@@ -75,13 +78,7 @@ def _answer_json(inst: DualInstance, ans: DualAnswer, emit_certificate: bool) ->
         "weight_sum": inst.graph.weight_sum,
         "k": inst.k,
         "certificate": _classes_json(ans.certificate) if emit_certificate else None,
-        "stats": {
-            "antimatching_size": ans.stats.antimatching_size,
-            "clique_size": ans.stats.clique_size,
-            "n": ans.stats.n,
-            "m": ans.stats.m,
-            "runtime_ms": round(ans.stats.runtime_ms, 3),
-        },
+        "stats": {**asdict(ans.stats), "runtime_ms": round(ans.stats.runtime_ms, 3)},
     }
 
 
@@ -187,19 +184,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             return _fail("--interval expects an interval-format file")
         inst, rep = parse_interval(text)
         report = audit_interval_bounds(inst, rep)
-        _emit(
-            {
-                "mode": "interval",
-                "p": report.p,
-                "antimatching_size": report.antimatching_size,
-                "class_count": report.class_count,
-                "class_limit": report.class_limit,
-                "kernel_size": report.kernel_size,
-                "kernel_limit": report.kernel_limit,
-                "shortcut": report.shortcut,
-                "passed": True,
-            }
-        )
+        _emit({"mode": "interval", **asdict(report), "passed": True})
         return 0
     inst = parse_dwc(text)
     if args.split:
@@ -207,48 +192,21 @@ def cmd_audit(args: argparse.Namespace) -> int:
         if profile is None:
             return _fail("graph is not a split graph")
         report = audit_split_bounds(inst, profile)
-        _emit(
-            {
-                "mode": "split",
-                "d": report.d,
-                "exponent": report.exponent,
-                "kernel_size": report.kernel_size,
-                "kernel_limit": report.kernel_limit,
-                "residual_clique": report.residual_clique,
-                "remark_limit": report.remark_limit,
-                "shortcut": report.shortcut,
-                "passed": True,
-            }
-        )
+        _emit({"mode": "split", **asdict(report), "passed": True})
         return 0
     # neighborhood-class audit; universal vertices are removed first since
     # the class-count bounds presuppose their absence
     reduced, _ = remove_universal_vertices(inst)
     am = maximum_antimatching(reduced.graph)
+    shortcut, report = None, None
     if am.size >= reduced.k:
-        _emit({"mode": "claims", "shortcut": "yes", "report": None, "passed": True})
-        return 0
-    if reduced.graph.n == 0:
-        _emit({"mode": "claims", "shortcut": "no", "report": None, "passed": True})
-        return 0
-    part = compute_classes(reduced.graph, am)
-    report = audit_claims(reduced.graph, am, part)
-    _emit(
-        {
-            "mode": "claims",
-            "shortcut": None,
-            "report": {
-                "antimatching_size": report.antimatching_size,
-                "class_count": report.class_count,
-                "special_class_count": report.special_class_count,
-                "normal_class_count": report.normal_class_count,
-                "special_pairs": report.special_pairs,
-                "normal_pairs": report.normal_pairs,
-                "largest_class": report.largest_class,
-            },
-            "passed": True,
-        }
-    )
+        shortcut = "yes"
+    elif reduced.graph.n == 0:
+        shortcut = "no"
+    else:
+        part = compute_classes(reduced.graph, am)
+        report = asdict(audit_claims(reduced.graph, am, part))
+    _emit({"mode": "claims", "shortcut": shortcut, "report": report, "passed": True})
     return 0
 
 

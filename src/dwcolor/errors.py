@@ -50,9 +50,9 @@ class NonMaximalAntimatchingWitness(DwcError):
 
 
 class ClaimViolation(DwcError):
-    """A structural audit assertion failed.
+    """A structural audit check failed.
 
-    ``check`` names the failed assertion.
+    ``check`` names the failed check.
     """
 
     def __init__(self, check: str, message: str = ""):

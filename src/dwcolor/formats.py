@@ -38,6 +38,15 @@ def _int(tok: str, lineno: str, what: str) -> int:
         raise FormatError(f"line {lineno}: {what} {tok!r} is not an integer") from None
 
 
+def _check_declared(rows: list[list[str]], count: int, what: str) -> None:
+    """Reject a header declaring more items than there are body lines, before
+    anything is allocated per item."""
+    if count > len(rows) - 1:
+        raise FormatError(
+            f"line {rows[0][0]}: {count} {what} declared, {len(rows) - 1} lines follow"
+        )
+
+
 def detect_format(text: str) -> str:
     rows = _tokens(text)
     if not rows or rows[0][1] != "p" or len(rows[0]) < 3:
@@ -58,6 +67,7 @@ def parse_dwc(text: str) -> DualInstance:
     n, m, k = (_int(t, head[0], "header field") for t in head[3:6])
     if k < 1:
         raise FormatError(f"line {head[0]}: parameter k={k} must be >= 1")
+    _check_declared(rows, n, "vertices")
     weights: list[int | None] = [None] * n
     edges: list[tuple[int, int]] = []
     for row in rows[1:]:
@@ -111,6 +121,7 @@ def parse_interval(text: str) -> tuple[DualInstance, IntervalRepresentation]:
     n, k = (_int(t, head[0], "header field") for t in head[3:5])
     if k < 1:
         raise FormatError(f"line {head[0]}: parameter k={k} must be >= 1")
+    _check_declared(rows, n, "intervals")
     ivs: list[tuple[int, int] | None] = [None] * n
     weights: list[int] = [0] * n
     for row in rows[1:]:
@@ -154,6 +165,7 @@ def parse_setcover(text: str) -> SetCoverInstance:
     if len(head) != 6 or head[2] != "setcover":
         raise FormatError(f"line {head[0]}: expected 'p setcover <universe> <sets> <ell>'")
     universe, nsets, ell = (_int(t, head[0], "header field") for t in head[3:6])
+    _check_declared(rows, nsets, "sets")
     family: list[frozenset[int] | None] = [None] * nsets
     for row in rows[1:]:
         lineno, tag = row[0], row[1]

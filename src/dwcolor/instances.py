@@ -28,6 +28,12 @@ from .kernel import compute_classes, kernel_size_limit, kernelize
 from .matching import maximum_antimatching
 
 
+def _require(ok: bool, check: str, message: str = "") -> None:
+    """Raise :class:`ClaimViolation` ``check`` unless ``ok``; runs under ``python -O``."""
+    if not ok:
+        raise ClaimViolation(check, message)
+
+
 # ---------------------------------------------------------------------------
 # split graphs
 
@@ -64,7 +70,7 @@ def split_partition(g: WeightedGraph) -> SplitProfile | None:
     clique = tuple(sorted(order[:h]))
     stable = tuple(sorted(order[h:]))
     if not (is_clique(g, clique) and is_stable(g, stable)):
-        raise AssertionError("degree-sequence split certificate failed verification")
+        raise ClaimViolation("split_certificate", "degree-sequence certificate failed")
     stable_mask = 0
     for v in stable:
         stable_mask |= 1 << v
@@ -417,13 +423,13 @@ def gen_tight_general(k: int) -> DualInstance:
     g = build_graph(n, edges, [1] * n)
 
     # construction self-checks
-    assert g.n == kernel_size_limit(k)
-    assert not any(is_universal(g, v) for v in range(g.n))
+    _require(g.n == kernel_size_limit(k), "tight_size")
+    _require(not any(is_universal(g, v) for v in range(g.n)), "tight_universal")
     am = maximum_antimatching(g)
-    assert am.size == t, f"maximum antimatching {am.size} != {t}"
+    _require(am.size == t, "tight_antimatching", f"maximum antimatching {am.size} != {t}")
     part = compute_classes(g, am)
-    assert all(len(c.vertices) == t for c in part.classes)
-    assert len(part.classes) == (1 << t) - 1
+    _require(all(len(c.vertices) == t for c in part.classes), "tight_class_size")
+    _require(len(part.classes) == (1 << t) - 1, "tight_class_count")
     return DualInstance(g, k)
 
 
@@ -455,18 +461,18 @@ def gen_tight_interval(k: int) -> tuple[DualInstance, IntervalRepresentation]:
     inst = DualInstance(g, k)
 
     # construction self-checks
-    assert g.n == interval_kernel_limit(k)
+    _require(g.n == interval_kernel_limit(k), "tight_size")
     cliques = maximal_cliques_ordered(rep)
-    assert len(cliques) == p
+    _require(len(cliques) == p, "tight_clique_count")
     vertex_clique_spans(cliques, g.n)
-    assert not any(is_universal(g, v) for v in range(g.n))
+    _require(not any(is_universal(g, v) for v in range(g.n)), "tight_universal")
     designated = tuple((2 * j, 2 * j + 1) for j in range(k - 1))
-    assert all(not g.has_edge(u, v) for u, v in designated)
+    _require(all(not g.has_edge(u, v) for u, v in designated), "tight_designated")
     # span groups all have k-1 members, so class truncation at size k-1 is idle
     groups: dict[tuple[int, int], int] = {}
     for v in range(p, g.n):
         groups[rep.intervals[v]] = groups.get(rep.intervals[v], 0) + 1
-    assert all(c == k - 1 for c in groups.values())
+    _require(all(c == k - 1 for c in groups.values()), "tight_class_size")
     return inst, rep
 
 

@@ -19,6 +19,7 @@ at most k-1 designated endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection, Iterable, Sequence
 
 from .errors import ClaimViolation, NonMaximalAntimatchingWitness, PreconditionViolated
 from .fpt import DualInstance
@@ -95,35 +96,42 @@ def canonical_no_instance(k: int) -> DualInstance:
 def remove_universal_vertices(
     inst: DualInstance,
 ) -> tuple[DualInstance, tuple[int, ...]]:
-    """Delete universal vertices until none remains; k is unchanged."""
-    g, deleted = _remove_universal(inst.graph)
-    return DualInstance(g, inst.k), deleted
+    """Delete every universal vertex; k is unchanged.
+
+    One scan suffices: deleting a universal vertex never changes whether
+    another vertex is universal, since a vertex with a non-neighbor keeps
+    it (that non-neighbor is not universal either). Deleted ids ascend.
+    """
+    g = inst.graph
+    deleted = tuple(v for v in range(g.n) if is_universal(g, v))
+    return DualInstance(_delete(g, deleted), inst.k), deleted
 
 
-def _remove_universal(g: WeightedGraph) -> tuple[WeightedGraph, tuple[int, ...]]:
-    """Worker returning the reduced graph and deleted ids (original labels)."""
-    ids = tuple(range(g.n))
-    deleted: list[int] = []
-    while True:
-        for v in range(g.n):
-            if is_universal(g, v):
-                deleted.append(ids[v])
-                keep = [u for u in range(g.n) if u != v]
-                g, kept = induced_subgraph(g, keep)
-                ids = tuple(ids[u] for u in kept)
-                break
-        else:
-            return g, tuple(deleted)
+def _without(ids: Sequence[int], doomed: Iterable[int]) -> tuple[int, ...]:
+    """``ids`` minus its entries at the positions ``doomed``, order kept.
+
+    On ``range(g.n)`` this is the new-to-old id map of deleting ``doomed``
+    from ``g`` (the one :func:`induced_subgraph` returns); on such a map it
+    composes one more deletion onto it.
+    """
+    gone = set(doomed)
+    return tuple(v for i, v in enumerate(ids) if i not in gone)
 
 
-def compute_classes(
-    g: WeightedGraph, m: Antimatching, *, validate: bool = True
-) -> ClassPartition:
+def _delete(g: WeightedGraph, doomed: Collection[int]) -> WeightedGraph:
+    """``g`` without the vertices ``doomed``; ``g`` itself when none is."""
+    if not doomed:
+        return g
+    reduced, _ = induced_subgraph(g, _without(range(g.n), doomed))
+    return reduced
+
+
+def compute_classes(g: WeightedGraph, m: Antimatching) -> ClassPartition:
     """Partition the residual clique by neighborhood among covered vertices.
 
-    With ``validate`` (the default), structural consequences of maximality
-    are checked: a class of two or more vertices seeing neither endpoint of
-    a pair, or two classes each missing opposite endpoints of one pair, both
+    This is the one place the structural consequences of maximality are
+    checked: a class of two or more vertices seeing neither endpoint of a
+    pair, or two classes each missing opposite endpoints of one pair, both
     witness a larger antimatching and raise
     :class:`NonMaximalAntimatchingWitness`.
     """
@@ -146,22 +154,21 @@ def compute_classes(
         miss_y = [i for i, (sig, _) in enumerate(ordered) if not sig & by]
         blind = set(miss_x) & set(miss_y)
         if blind:
-            if validate:
-                for i in blind:
-                    if len(ordered[i][1]) >= 2:
-                        raise NonMaximalAntimatchingWitness(
-                            f"class {ordered[i][1]} sees neither endpoint of ({x},{y})"
-                        )
-                if len(set(miss_x) | set(miss_y)) > len(blind) or len(blind) > 1:
+            for i in blind:
+                if len(ordered[i][1]) >= 2:
                     raise NonMaximalAntimatchingWitness(
-                        f"conflicting blind spots on pair ({x},{y})"
+                        f"class {ordered[i][1]} sees neither endpoint of ({x},{y})"
                     )
+            if len(set(miss_x) | set(miss_y)) > len(blind) or len(blind) > 1:
+                raise NonMaximalAntimatchingWitness(
+                    f"conflicting blind spots on pair ({x},{y})"
+                )
             for i in blind:
                 class_special[i] = True
             special_pair.append(True)
             missing.append(None)
         else:
-            if validate and miss_x and miss_y:
+            if miss_x and miss_y:
                 raise NonMaximalAntimatchingWitness(
                     f"classes miss opposite endpoints of ({x},{y})"
                 )
@@ -208,11 +215,7 @@ def truncate_classes(
         if len(cls.vertices) > m.size:
             ranked = sorted(cls.vertices, key=lambda v: (-g.weights[v], v))
             doomed.extend(sorted(ranked[m.size :]))
-    if not doomed:
-        return g, ()
-    keep = [v for v in range(g.n) if v not in set(doomed)]
-    reduced, _ = induced_subgraph(g, keep)
-    return reduced, tuple(doomed)
+    return _delete(g, doomed), tuple(doomed)
 
 
 def kernelize(inst: DualInstance) -> KernelTrace:
@@ -224,17 +227,18 @@ def kernelize(inst: DualInstance) -> KernelTrace:
     classes and repeat until nothing changes.
     """
     k = inst.k
-    g = inst.graph
-    ids = tuple(range(g.n))
+    ids = tuple(range(inst.graph.n))  # current id -> original id
     log: list[RuleApplication] = []
 
-    while True:
-        g2, deleted = _remove_universal(g)
+    def record(rule: str, deleted: tuple[int, ...]) -> tuple[int, ...]:
         if deleted:
-            gone = set(deleted)
-            log.append(RuleApplication(RULE_UNIVERSAL, tuple(ids[v] for v in deleted)))
-            ids = tuple(ids[i] for i in range(g.n) if i not in gone)
-            g = g2
+            log.append(RuleApplication(rule, tuple(ids[v] for v in deleted)))
+        return _without(ids, deleted)
+
+    while True:
+        inst, deleted = remove_universal_vertices(inst)
+        ids = record(RULE_UNIVERSAL, deleted)
+        g = inst.graph
 
         am = maximum_antimatching(g)
         if am.size >= k:
@@ -243,20 +247,16 @@ def kernelize(inst: DualInstance) -> KernelTrace:
             return KernelTrace(canonical_no_instance(k), tuple(log), None, False)
 
         part = compute_classes(g, am)
-        g2, doomed = truncate_classes(g, am, part)
+        g, doomed = truncate_classes(g, am, part)
         if not doomed:
-            return KernelTrace(DualInstance(g, k), tuple(log), ids, None)
-        log.append(RuleApplication(RULE_TRUNCATE, tuple(ids[v] for v in doomed)))
-        kept = [i for i in range(g.n) if i not in set(doomed)]
-        ids = tuple(ids[i] for i in kept)
-        g = g2
+            return KernelTrace(inst, tuple(log), ids, None)
+        ids = record(RULE_TRUNCATE, doomed)
+        inst = DualInstance(g, k)
 
 
 def replay_log(g: WeightedGraph, log: tuple[RuleApplication, ...]) -> WeightedGraph:
     """Apply the logged deletions to the original graph."""
-    gone = {v for app in log for v in app.deleted}
-    reduced, _ = induced_subgraph(g, [v for v in range(g.n) if v not in gone])
-    return reduced
+    return _delete(g, {v for app in log for v in app.deleted})
 
 
 @dataclass(frozen=True)
@@ -275,19 +275,21 @@ class ClaimReport:
 def audit_claims(
     g: WeightedGraph, m: Antimatching, part: ClassPartition
 ) -> ClaimReport:
-    """Re-derive and assert the class-structure facts used by the size bound.
+    """Re-derive the class-structure facts used by the size bound.
 
     Checks, raising :class:`ClaimViolation` with the failed check's name:
 
-    * ``blind_class``: a class with >= 2 vertices sees at least one endpoint
-      of every pair;
-    * ``crossed_missing``: no two classes miss opposite endpoints of a pair;
+    * ``class_partition``: signatures are distinct and a class is tagged
+      special exactly when it is blind to some pair;
     * ``special_count``: blind singleton classes number at most the pairs
       that blind them;
     * ``normal_count``: remaining classes number at most 2^(normal pairs)-1.
 
-    The count bounds presuppose a graph with no universal vertex and a
-    maximum antimatching, as produced by :func:`kernelize`.
+    The maximality facts these counts rest on (no blind class of two or more
+    vertices, no two classes missing opposite endpoints of a pair) are
+    checked where ``part`` is built, by :func:`compute_classes`. The count
+    bounds presuppose a graph with no universal vertex and a maximum
+    antimatching, as produced by :func:`kernelize`.
     """
     sigs = {frozenset(c.signature) for c in part.classes}
     if len(sigs) != len(part.classes):
@@ -295,33 +297,12 @@ def audit_claims(
 
     special_classes = 0
     for cls in part.classes:
-        blind_pairs = [
-            (x, y)
-            for x, y in part.pairs
-            if x not in cls.signature and y not in cls.signature
-        ]
-        if blind_pairs:
-            special_classes += 1
-            if len(cls.vertices) >= 2:
-                raise ClaimViolation(
-                    "blind_class",
-                    f"class {cls.vertices} of size >= 2 sees neither endpoint "
-                    f"of {blind_pairs[0]}",
-                )
-        if bool(blind_pairs) != cls.special:
+        blind = any(
+            x not in cls.signature and y not in cls.signature for x, y in part.pairs
+        )
+        special_classes += blind
+        if blind != cls.special:
             raise ClaimViolation("class_partition", "special tag inconsistent")
-
-    for x, y in part.pairs:
-        missers_x = [c for c in part.classes if x not in c.signature]
-        missers_y = [c for c in part.classes if y not in c.signature]
-        for cx in missers_x:
-            for cy in missers_y:
-                if cx is not cy:
-                    raise ClaimViolation(
-                        "crossed_missing",
-                        f"classes {cx.vertices} and {cy.vertices} miss opposite "
-                        f"endpoints of ({x},{y})",
-                    )
 
     normal_classes = len(part.classes) - special_classes
     if special_classes > part.k_s:

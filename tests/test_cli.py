@@ -62,6 +62,14 @@ def test_solve_parse_error_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_input_exit_two(tmp_path):
+    bad = tmp_path / "bad.dwc"
+    bad.write_bytes(b"p dwc 2 0 1\nw 1 \xff\n")
+    proc = run_cli(["solve", str(bad)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_missing_file_exit_two(capsys):
     assert main(["solve", "/nonexistent/file.dwc"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -52,6 +52,8 @@ def test_dwc_errors():
         "p dwc 2 1 1\nw 1 1\nw 2 0\ne 1 2\n",
         "p dwc 2 0 1\nw 1 1\nw 2 1\nq 1\n",
         "p dwc 2 0 1\nw 1 1\nw 3 1\n",
+        # header sizes are checked against the body before any allocation
+        "p dwc 4611686018427387904 0 1\nw 1 1\n",
     ]:
         with pytest.raises(FormatError):
             parse_dwc(text)
@@ -79,6 +81,8 @@ def test_interval_errors():
         parse_interval("p interval 2 1\ni 1 0 1 1\n")
     with pytest.raises(FormatError):
         parse_interval("p interval 1 1\ni 1 0 1 0\n")
+    with pytest.raises(FormatError):
+        parse_interval("p interval 4611686018427387904 1\ni 1 0 1 1\n")
 
 
 SETCOVER = """p setcover 2 3 1
@@ -102,6 +106,8 @@ def test_setcover_errors():
         parse_setcover("p setcover 2 1 1\ns 1 3\n")
     with pytest.raises(FormatError):
         parse_setcover("p setcover 2 2 1\ns 1 1\ns 1 2\n")
+    with pytest.raises(FormatError):
+        parse_setcover("p setcover 2 4611686018427387904 1\ns 1 1\n")
 
 
 def test_detect_format():

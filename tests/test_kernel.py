@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,9 @@ from dwcolor import (
     decide_dual_oracle,
     is_universal,
 )
+import dwcolor.kernel as kernel
 from dwcolor.fpt import DualInstance
+from dwcolor.instances import bench_instance
 from dwcolor.kernel import (
     audit_claims,
     canonical_no_instance,
@@ -42,6 +45,25 @@ def test_universal_rule():
     c4 = cycle_graph(4)
     red, deleted = remove_universal_vertices(DualInstance(c4, 2))
     assert deleted == () and red.graph == c4
+
+
+def test_kernelize_rebuilds_graph_at_most_twice_per_round(monkeypatch):
+    # one graph rebuild per rule per round, however many vertices a rule
+    # deletes; a round is one antimatching computation
+    calls = Counter()
+    for name in ("induced_subgraph", "maximum_antimatching"):
+        fn = getattr(kernel, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, name, counting)
+    tr = kernelize(bench_instance(60, 6, 1))
+    rounds = calls["maximum_antimatching"]
+    universal = [v for app in tr.log if app.rule == "delete_universal" for v in app.deleted]
+    assert len(universal) > 2 * rounds  # dense enough to tell the two apart
+    assert calls["induced_subgraph"] <= 2 * rounds
 
 
 def test_compute_classes_simple():
