@@ -5,9 +5,19 @@ antimatching M of G. If M has at least k pairs, merging each pair into one
 color class already saves one unit per pair (weights are at least 1), so the
 answer is yes and a certificate coloring is emitted without touching sigma.
 Otherwise the uncovered vertices K form a clique, each needing its own
-color, and a dynamic program over the at most 2(k-1) covered vertices
-assigns them either to the clique colors or to fresh ones. The table value
-for the full covered set and all clique colors is exactly sigma(G, w).
+color, and at most t = 2(k-1) vertices are covered. A clique color can only
+absorb covered vertices its clique vertex is not adjacent to; call their
+union D, with d = |D| <= t. So any proper coloring splits the covered
+vertices into a set U of D absorbed by clique colors and the rest, which
+fresh classes cover, and the two costs add:
+
+    sigma(G, w) = min over U of D: absorb[U] + fresh[covered - U]
+
+``fresh`` is a table over the 2^t subsets of the covered vertices (about
+3^t/2 submask visits at worst, far fewer on dense grounds); ``absorb`` is
+a table over the 2^d subsets of D, one layer per clique vertex with a
+covered non-neighbour (at most 3^d visits each). Both stay within the
+9^k bound, since d <= t = 2(k-1).
 """
 
 from __future__ import annotations
@@ -16,10 +26,12 @@ import time
 from array import array
 from dataclasses import dataclass
 
-from .errors import PreconditionViolated
+from .errors import InstanceTooLarge, PreconditionViolated
 from .graph import Coloring, WeightedGraph, is_clique
 from .matching import Antimatching, maximum_antimatching
 
+# Widest table build_dp allocates: 2^22 states, the oracle's default cap.
+MAX_TABLE_BITS = 22
 _INF = float("inf")
 
 
@@ -58,27 +70,37 @@ class DualAnswer:
 
 @dataclass
 class DPTable:
-    """Filled table of the clique-color assignment program.
+    """Filled tables of the clique-color assignment program.
 
-    ``ground`` lists the antimatching-covered vertices (bit j of a subset
-    mask stands for ``ground[j]``); ``clique_order`` fixes the color order
-    of the residual clique. ``final`` holds the last layer of values;
-    ``parents[i][X]`` records the class content chosen at layer i (-1 for
-    "color i unused on X", otherwise the chosen subset mask). ``layers``
-    retains every value layer when requested, for diagnostics.
+    ``ground`` lists the antimatching-covered vertices (bit j of a ground
+    mask stands for ``ground[j]``); ``clique_order`` lists the residual
+    clique. ``fresh[X]`` is ``base`` (the clique colors as singletons) plus
+    the cheapest cover of X by classes without clique vertices;
+    ``fresh_parents[X]`` is the class that covers X's lowest vertex.
+
+    ``absorb_ground`` lists the ground bits of D (bit i of a local mask
+    stands for ground bit ``absorb_ground[i]``). ``absorbers`` are the
+    clique vertices with a covered non-neighbour, in layer order.
+    ``absorb[U]`` is the least extra weight at which their colors take
+    exactly the local set U; ``absorb_parents[i][U]`` is the local set that
+    absorber i takes there, -1 for none. ``split`` is the set an optimum
+    absorbs. ``layers`` retains ``fresh`` and then every absorb layer, from
+    the empty one on, when requested, for diagnostics.
     """
 
     graph: WeightedGraph
     ground: tuple[int, ...]
     clique_order: tuple[int, ...]
     base: int
-    final: list[int]
-    parents: list[array]
+    fresh: list[int]
+    fresh_parents: array
+    absorb_ground: tuple[int, ...]
+    absorbers: tuple[int, ...]
+    absorb: list[int]
+    absorb_parents: list[array]
+    sigma: int
+    split: int
     layers: list[list[int]] | None
-
-    @property
-    def sigma(self) -> int:
-        return self.final[-1]
 
 
 def shortcut_certificate(g: WeightedGraph, m: Antimatching, k: int) -> Coloring:
@@ -97,126 +119,158 @@ def shortcut_certificate(g: WeightedGraph, m: Antimatching, k: int) -> Coloring:
 def build_dp(
     g: WeightedGraph, m: Antimatching, *, keep_layers: bool = False
 ) -> DPTable:
-    """Fill the assignment table; requires ``m`` to be a maximum antimatching.
+    """Fill the assignment tables; requires ``m`` to be a maximum antimatching.
 
-    The uncovered vertices must induce a clique, which is checked. Work is
-    O(3^t * |K|) for t covered vertices.
+    The uncovered vertices must induce a clique, which is checked, and at
+    most ``MAX_TABLE_BITS`` vertices may be covered (``InstanceTooLarge``
+    otherwise, before anything is allocated). In any proper coloring each
+    clique color absorbs a stable set of its vertex's covered
+    non-neighbours and fresh classes cover the rest, so sigma is the least
+    ``absorb[U] + fresh[covered - U]`` over the subsets U of D. Work is at
+    most 3^t/2 submask visits for ``fresh`` plus 3^d per absorber, for t
+    covered vertices and the d of them in D.
     """
     ground = tuple(sorted(m.vertices))
+    t = len(ground)
+    if t > MAX_TABLE_BITS:
+        raise InstanceTooLarge(
+            f"table over {t} covered vertices exceeds cap {MAX_TABLE_BITS}"
+        )
     clique = m.residual_clique
     if not is_clique(g, clique):
         raise PreconditionViolated(
             "uncovered vertices do not induce a clique; antimatching not maximum"
         )
     w = g.weights
-    t = len(ground)
     size = 1 << t
     full = size - 1
 
-    # ground-local conflict masks, stability and class-weight tables
-    pos = {v: j for j, v in enumerate(ground)}
-    conflict = [0] * t
-    for j, v in enumerate(ground):
-        a = g.adjacency[v]
-        for u, i in pos.items():
-            if a >> u & 1:
-                conflict[j] |= 1 << i
+    # ground-local masks: conflicts among covered vertices, and the covered
+    # non-neighbours of each clique vertex
+    def nonadjacent(a: int) -> int:
+        return sum(1 << j for j, u in enumerate(ground) if not a >> u & 1)
+
+    conflict = [full ^ nonadjacent(g.adjacency[v]) for v in ground]
+    wg = [w[v] for v in ground]
+    base = sum(w[v] for v in clique)
+
+    # one pass in increasing X fills the stability and class-weight tables
+    # (maxw only on stable sets, the only ones read) and fresh: the class of
+    # X's lowest vertex j lies within j and the rest of X j is not adjacent to
     stab = bytearray(size)
     stab[0] = 1
     maxw = [0] * size
+    fresh = [0] * size
+    fresh[0] = base
+    fresh_parents = array("i", [0]) * size
     for x in range(1, size):
         low = x & -x
         j = low.bit_length() - 1
         rest = x ^ low
-        stab[x] = stab[rest] and not (conflict[j] & rest)
-        maxw[x] = max(maxw[rest], w[ground[j]])
-
-    base = sum(w[v] for v in clique)
-
-    # layer 0: only fresh colors may touch the covered vertices
-    prev = [0] * size
-    prev[0] = base
-    p0 = array("l", [0]) * size
-    for x in range(1, size):
-        low = x & -x
-        rest = x ^ low
+        if stab[rest] and not conflict[j] & rest:
+            stab[x] = 1
+            mw = maxw[rest]
+            maxw[x] = mw if mw > wg[j] else wg[j]
+        cand = rest & ~conflict[j]
+        if not cand:  # j is adjacent to the rest of X: a singleton class
+            fresh[x] = fresh[rest] + wg[j]
+            fresh_parents[x] = low
+            continue
         best = _INF
         best_s = 0
-        s = rest
+        s = cand
         while True:
             sub = s | low
             if stab[sub]:
-                c = prev[x ^ sub] + maxw[sub]
+                c = fresh[x ^ sub] + maxw[sub]
                 if c < best:
                     best = c
                     best_s = sub
             if not s:
                 break
-            s = (s - 1) & rest
-        prev[x] = best
-        p0[x] = best_s
+            s = (s - 1) & cand
+        fresh[x] = best
+        fresh_parents[x] = best_s
 
-    parents = [p0]
-    layers = [list(prev)] if keep_layers else None
-
-    nonadj_ground = []
+    # absorb: clique vertices without a covered non-neighbour stay singletons,
+    # already paid for in base, and get no layer
+    absorbers = []
+    allowed = []
+    reach = 0
     for v in clique:
-        mask = 0
-        a = g.adjacency[v]
-        for u, i in pos.items():
-            if not a >> u & 1:
-                mask |= 1 << i
-        nonadj_ground.append(mask)
-
-    for i, v in enumerate(clique):
-        allowed = nonadj_ground[i]
+        mask = nonadjacent(g.adjacency[v])
+        if mask:
+            absorbers.append(v)
+            allowed.append(mask)
+            reach |= mask
+    dbits = tuple(j for j in range(t) if reach >> j & 1)
+    dsize = 1 << len(dbits)
+    spread = [0] * dsize  # ground mask of each local mask
+    for u in range(1, dsize):
+        low = u & -u
+        spread[u] = spread[u ^ low] | 1 << dbits[low.bit_length() - 1]
+    absorb = [_INF] * dsize
+    absorb[0] = 0
+    absorb_parents = []
+    layers = [fresh, list(absorb)] if keep_layers else None
+    for v, mask in zip(absorbers, allowed):
+        la = sum(1 << i for i, j in enumerate(dbits) if mask >> j & 1)
         wv = w[v]
-        cur = prev[:]  # skip branch: color of v stays a singleton
-        pi = array("l", [-1]) * size
-        if allowed:
-            for x in range(1, size):
-                rest = x & allowed
-                if not rest:
-                    continue
-                best = prev[x]
-                best_s = -1
-                s = rest
-                while s:
-                    if stab[s]:
-                        mw = maxw[s]
-                        c = prev[x ^ s] + (mw - wv if mw > wv else 0)
-                        if c < best:
-                            best = c
-                            best_s = s
-                    s = (s - 1) & rest
-                if best_s >= 0:
-                    cur[x] = best
-                    pi[x] = best_s
-        parents.append(pi)
+        extra = [-1] * dsize  # extra weight of v's class taking s, -1 if unstable
+        s = la
+        while s:
+            gs = spread[s]
+            if stab[gs]:
+                mw = maxw[gs]
+                extra[s] = mw - wv if mw > wv else 0
+            s = (s - 1) & la
+        # in place, downwards: a source u is read before any subset of u
+        # writes to it, so each color absorbs at most once
+        par = array("i", [-1]) * dsize
+        for u in range(dsize - 1, -1, -1):
+            au = absorb[u]
+            if au == _INF:
+                continue
+            free = la & ~u
+            s = free
+            while s:
+                c = extra[s]
+                if c >= 0 and au + c < absorb[u | s]:
+                    absorb[u | s] = au + c
+                    par[u | s] = s
+                s = (s - 1) & free
+        absorb_parents.append(par)
         if keep_layers:
-            layers.append(list(cur))
-        prev = cur
+            layers.append(list(absorb))
 
-    return DPTable(g, ground, clique, base, prev, parents, layers)
+    sigma, split = min(
+        (absorb[u] + fresh[full ^ spread[u]], u)
+        for u in range(dsize)
+        if absorb[u] != _INF
+    )
+    return DPTable(
+        g, ground, clique, base, fresh, fresh_parents, dbits, tuple(absorbers),
+        absorb, absorb_parents, sigma, split, layers,
+    )
 
 
 def extract_certificate(t: DPTable) -> Coloring:
     """Walk the parent pointers into an optimal proper coloring."""
     ground = t.ground
+    taken: dict[int, list[int]] = {}
+    u = t.split
+    for v, par in zip(reversed(t.absorbers), reversed(t.absorb_parents)):
+        s = par[u]
+        if s > 0:
+            taken[v] = [ground[j] for i, j in enumerate(t.absorb_ground) if s >> i & 1]
+            u ^= s
+    classes = [tuple(sorted([v, *taken.get(v, ())])) for v in t.clique_order]
     x = (1 << len(ground)) - 1
-    classes: list[tuple[int, ...]] = []
-    for i in range(len(t.clique_order), 0, -1):
-        v = t.clique_order[i - 1]
-        s = t.parents[i][x]
-        if s < 0:
-            classes.append((v,))
-        else:
-            members = [ground[j] for j in range(len(ground)) if s >> j & 1]
-            classes.append(tuple(sorted(members + [v])))
-            x ^= s
-    classes.reverse()
+    for i, j in enumerate(t.absorb_ground):
+        if t.split >> i & 1:
+            x ^= 1 << j
     while x:
-        s = t.parents[0][x]
+        s = t.fresh_parents[x]
         classes.append(tuple(ground[j] for j in range(len(ground)) if s >> j & 1))
         x ^= s
     return Coloring(tuple(classes))

@@ -28,10 +28,28 @@ from .kernel import compute_classes, kernel_size_limit, kernelize
 from .matching import maximum_antimatching
 
 
+# Most vertices a command-line generator builds (random graphs and the
+# extremal constructions, which grow cubically or exponentially in k).
+MAX_GENERATED_N = 2048
+
+
 def _require(ok: bool, check: str, message: str = "") -> None:
     """Raise :class:`ClaimViolation` ``check`` unless ``ok``; runs under ``python -O``."""
     if not ok:
         raise ClaimViolation(check, message)
+
+
+def _check_at_least(low: int, **values: int) -> None:
+    """Raise :class:`PreconditionViolated` unless every value is >= ``low``."""
+    for name, value in values.items():
+        if not value >= low:
+            raise PreconditionViolated(f"{name}={value} must be >= {low}")
+
+
+def _check_size(n: int, what: str) -> None:
+    """Raise :class:`InstanceTooLarge` before building more than ``MAX_GENERATED_N`` vertices."""
+    if n > MAX_GENERATED_N:
+        raise InstanceTooLarge(f"{what} builds more than {MAX_GENERATED_N} vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +409,9 @@ def gen_tight_general(k: int) -> DualInstance:
     vertices is adjacent to everything except that subset. Every non-edge
     touches a missing vertex, so k-1 pairs are the best possible.
     """
-    if k < 2:
-        raise PreconditionViolated(f"k={k} must be >= 2")
+    _check_at_least(2, k=k)
+    # the size grows with k; evaluating it at most at k = 64 keeps a huge k cheap
+    _check_size(kernel_size_limit(min(k, 64)), f"k={k}")
     t = k - 1
     missing = [2 * j for j in range(t)]
     ground = list(range(2 * t))
@@ -446,8 +465,8 @@ def gen_tight_interval(k: int) -> tuple[DualInstance, IntervalRepresentation]:
     solving-by-shortcut answers yes on this instance even though neither
     reduction rule applies to it.
     """
-    if k < 2:
-        raise PreconditionViolated(f"k={k} must be >= 2")
+    _check_at_least(2, k=k)
+    _check_size(interval_kernel_limit(k), f"k={k}")
     p = 2 * k - 2
     mid = (p + 1) // 2
     intervals: list[tuple[int, int]] = [(i, i) for i in range(1, p + 1)]
@@ -484,6 +503,11 @@ def random_instance(
     n: int, p: float, k: int, seed: int, wmax: int = 4
 ) -> DualInstance:
     """Erdos-Renyi graph with uniform weights in 1..wmax; fully seed-determined."""
+    _check_at_least(0, n=n)
+    _check_at_least(1, k=k, wmax=wmax)
+    if not 0.0 <= p <= 1.0:
+        raise PreconditionViolated(f"p={p} must lie in [0, 1]")
+    _check_size(n, f"n={n}")
     rng = random.Random(seed)
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     weights = [rng.randint(1, wmax) for _ in range(n)]
@@ -494,6 +518,8 @@ def random_split_instance(
     clique_size: int, stable_size: int, d: int, k: int, seed: int, wmax: int = 4
 ) -> tuple[DualInstance, SplitProfile]:
     """Split graph where each clique vertex misses at most d stable vertices."""
+    _check_at_least(0, clique_size=clique_size, stable_size=stable_size, d=d)
+    _check_at_least(1, k=k, wmax=wmax)
     rng = random.Random(seed)
     n = clique_size + stable_size
     clique = list(range(clique_size))
@@ -515,6 +541,8 @@ def random_interval_instance(
     n: int, k: int, seed: int, span: int = 30, max_len: int = 8, wmax: int = 4
 ) -> tuple[DualInstance, IntervalRepresentation]:
     """Random integer intervals on a line segment."""
+    _check_at_least(0, n=n, span=span, max_len=max_len)
+    _check_at_least(1, k=k, wmax=wmax)
     rng = random.Random(seed)
     intervals = []
     for _ in range(n):
@@ -534,6 +562,7 @@ def bench_instance(n: int, k: int, seed: int, wmax: int = 5) -> DualInstance:
     non-edge touches a center, so no k disjoint non-edges exist and the
     solver must run its table instead of the shortcut.
     """
+    _check_at_least(1, k=k, wmax=wmax)
     if n < 2 * (k - 1) + 1:
         raise PreconditionViolated("n too small for the requested parameter")
     rng = random.Random(seed)

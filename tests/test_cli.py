@@ -70,6 +70,33 @@ def test_non_utf8_input_exit_two(tmp_path):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["random", "--n", "5", "--wmax", "0"],
+        ["random", "--n", "-1"],
+        ["random", "--n", "5", "--p", "1.5"],
+        ["random", "--n", "5", "--k", "0"],
+        ["random", "--n", "100000"],
+        ["tight-general", "--k", "40"],
+        ["tight-interval", "--k", "100"],
+    ],
+)
+def test_generator_argument_errors_exit_two(args):
+    proc = run_cli(["generate", *args])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_solve_table_too_wide_exit_two(tmp_path):
+    # edgeless: 30 antimatching pairs, k = 31 forces the table over t = 60
+    path = tmp_path / "edgeless.dwc"
+    path.write_text("p dwc 60 0 31\n" + "".join(f"w {v} 1\n" for v in range(1, 61)))
+    proc = run_cli(["solve", str(path)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_missing_file_exit_two(capsys):
     assert main(["solve", "/nonexistent/file.dwc"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,9 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dwcolor import (
+    InstanceTooLarge,
     PreconditionViolated,
     build_graph,
     coloring_weight,
@@ -12,12 +16,14 @@ from dwcolor import (
     sigma_exact,
 )
 from dwcolor.fpt import (
+    MAX_TABLE_BITS,
     DualInstance,
     build_dp,
     extract_certificate,
     shortcut_certificate,
     solve_dual,
 )
+from dwcolor.instances import bench_instance
 from dwcolor.matching import Antimatching, maximum_antimatching
 from conftest import complete_graph, path_graph, random_graph
 
@@ -103,13 +109,95 @@ def test_table_layer_monotonicity():
         g = random_graph(rng, rng.randint(2, 9), 0.75)
         am = maximum_antimatching(g)
         t = build_dp(g, am, keep_layers=True)
-        size = 1 << len(t.ground)
-        for i in range(1, len(t.layers)):
-            for x in range(size):
-                assert t.layers[i][x] <= t.layers[i - 1][x]
-        assert t.layers[-1] == t.final
-        for layer in t.layers:
-            assert layer[0] == t.base
+        fresh, *absorb = t.layers
+        assert fresh == t.fresh and fresh[0] == t.base
+        assert len(absorb) == len(t.absorbers) + 1
+        size = 1 << len(t.absorb_ground)
+        for i in range(1, len(absorb)):
+            for u in range(size):
+                assert absorb[i][u] <= absorb[i - 1][u]
+        assert absorb[-1] == t.absorb
+        for layer in absorb:
+            assert layer[0] == 0
+        full = (1 << len(t.ground)) - 1
+        best = min(
+            t.absorb[u] + fresh[full ^ _ground_mask(t, u)] for u in range(size)
+        )
+        assert best == t.sigma
+
+
+def _ground_mask(t, u):
+    return sum(1 << j for i, j in enumerate(t.absorb_ground) if u >> i & 1)
+
+
+def test_absorb_layers_only_for_absorbers():
+    k = 8
+    for seed in (1, 2, 3):
+        g = bench_instance(200, k, seed).graph
+        am = maximum_antimatching(g)
+        t = build_dp(g, am)
+        covered = am.covered_mask
+        want = tuple(v for v in t.clique_order if covered & ~g.adjacency[v])
+        assert t.absorbers == want and len(want) < len(t.clique_order)
+        assert len(t.absorb_parents) == len(want)
+        for par in t.absorb_parents:
+            assert len(par) <= 1 << (k - 1)
+        cert = extract_certificate(t)
+        assert is_proper(g, cert) and coloring_weight(g, cert) == t.sigma
+
+
+def test_table_too_wide_raises_before_allocating():
+    g = build_graph(60, [], [1] * 60)
+    am = maximum_antimatching(g)
+    assert 2 * am.size == 60 > MAX_TABLE_BITS
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLarge):
+            build_dp(g, am)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(InstanceTooLarge):
+        solve_dual(DualInstance(g, 31))
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on at most 10 vertices: sparse, dense, or edgeless plus a few
+    edges (there one clique vertex reaches both ends of every pair, so
+    D is the whole ground)."""
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    kind = draw(st.sampled_from(["any", "dense", "sparse"]))
+    if kind == "any":
+        edges = [e for e in pairs if draw(st.booleans())]
+    else:
+        few = draw(st.sets(st.sampled_from(pairs), max_size=4)) if pairs else set()
+        edges = [e for e in pairs if (e in few) == (kind == "sparse")]
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return build_graph(n, edges, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+@example(build_graph(7, [], [1, 2, 3, 4, 3, 2, 1]))
+@example(build_graph(9, [(0, 1), (2, 3)], [2] * 9))
+def test_table_matches_oracle(g):
+    am = maximum_antimatching(g)
+    t = build_dp(g, am)
+    assert t.sigma == sigma_exact(g)
+    cert = extract_certificate(t)
+    assert is_proper(g, cert)
+    assert coloring_weight(g, cert) == t.sigma
+
+
+def test_full_ground_absorbed_on_stable_sets():
+    for n in (3, 5, 7, 9):
+        g = build_graph(n, [], list(range(1, n + 1)))
+        t = build_dp(g, maximum_antimatching(g))
+        assert t.absorb_ground == tuple(range(n - 1))
+        assert t.sigma == n == sigma_exact(g)
 
 
 def test_certificate_weight_matches_table():

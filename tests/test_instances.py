@@ -17,9 +17,10 @@ from dwcolor import (
     sigma_exact,
 )
 from dwcolor.fpt import DualInstance
-from dwcolor.kernel import audit_claims, compute_classes, kernelize
+from dwcolor.kernel import audit_claims, compute_classes, kernel_size_limit, kernelize
 from dwcolor.matching import maximum_antimatching
 from dwcolor.instances import (
+    MAX_GENERATED_N,
     IntervalRepresentation,
     SetCoverInstance,
     audit_interval_bounds,
@@ -30,6 +31,7 @@ from dwcolor.instances import (
     intervals_to_graph,
     interval_kernel_limit,
     maximal_cliques_ordered,
+    random_instance,
     random_interval_instance,
     random_split_instance,
     reduce_setcover,
@@ -356,3 +358,38 @@ def test_bench_instance_deterministic():
     a = bench_instance(30, 4, seed=9)
     b = bench_instance(30, 4, seed=9)
     assert a.graph == b.graph and a.k == b.k
+
+
+# ---- generator arguments ----
+
+
+def test_generator_arguments_are_range_checked():
+    bad = [
+        lambda: random_instance(-1, 0.5, 1, 0),
+        lambda: random_instance(5, 1.5, 1, 0),
+        lambda: random_instance(5, float("nan"), 1, 0),
+        lambda: random_instance(5, 0.5, 0, 0),
+        lambda: random_instance(5, 0.5, 1, 0, wmax=0),
+        lambda: random_split_instance(3, -1, 1, 1, 0),
+        lambda: random_split_instance(3, 3, 1, 1, 0, wmax=0),
+        lambda: random_interval_instance(4, 1, 0, max_len=-1),
+        lambda: random_interval_instance(4, 0, 0),
+        lambda: bench_instance(10, 2, 0, wmax=0),
+    ]
+    for make in bad:
+        with pytest.raises(PreconditionViolated):
+            make()
+    assert random_instance(0, 0.0, 1, 0).graph.n == 0
+    assert random_instance(3, 1.0, 1, 0, wmax=1).graph.m == 3
+
+
+def test_generators_capped_before_building():
+    assert kernel_size_limit(8) <= MAX_GENERATED_N < kernel_size_limit(9)
+    for k in (9, 40, 10**12):
+        with pytest.raises(InstanceTooLarge):
+            gen_tight_general(k)
+    assert interval_kernel_limit(13) <= MAX_GENERATED_N < interval_kernel_limit(14)
+    with pytest.raises(InstanceTooLarge):
+        gen_tight_interval(14)
+    with pytest.raises(InstanceTooLarge):
+        random_instance(MAX_GENERATED_N + 1, 0.5, 1, 0)
