@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .errors import DwcError, FormatError
@@ -264,6 +263,10 @@ BENCH_COLUMNS = (
 def cmd_bench(args: argparse.Namespace) -> int:
     cases = _bench_cases(args.suite, args.seed)
     if args.jobs > 1:
+        # imported here: concurrent.futures costs resident memory in every
+        # process that imports the CLI, and only this branch needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_run_bench_case, cases))
     else:

@@ -61,8 +61,9 @@ def maximum_matching(g: WeightedGraph) -> list[tuple[int, int]]:
                     break
 
     p = [-1] * n
-    base = [0] * n
+    base = list(range(n))
     used = [False] * n
+    touched: list[int] = []  # vertices whose p, base or used a search set
     blossom = [False] * n
 
     def lca(a: int, b: int) -> int:
@@ -95,12 +96,14 @@ def maximum_matching(g: WeightedGraph) -> list[tuple[int, int]]:
             v = nxt
 
     for root in range(n):
-        if match[root] >= 0:
+        # a root with no neighbor cannot start an augmenting path
+        if match[root] >= 0 or not nbr[root]:
             continue
-        for i in range(n):
+        for i in touched:
             p[i] = -1
             base[i] = i
             used[i] = False
+        touched = [root]
         used[root] = True
         queue = deque([root])
         done = False
@@ -122,14 +125,17 @@ def maximum_matching(g: WeightedGraph) -> list[tuple[int, int]]:
                             if not used[i]:
                                 used[i] = True
                                 queue.append(i)
+                                touched.append(i)
                 elif p[to] < 0:
                     p[to] = v
+                    touched.append(to)
                     if match[to] < 0:
                         augment(to)
                         done = True
                         break
                     used[match[to]] = True
                     queue.append(match[to])
+                    touched.append(match[to])
 
     return sorted((min(v, match[v]), max(v, match[v])) for v in range(n) if match[v] > v)
 

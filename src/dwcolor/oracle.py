@@ -1,11 +1,16 @@
 """Exact ground truth by exhaustive search.
 
-``sigma_exact`` runs a dynamic program over all vertex subsets: the optimum
-for a subset X peels off one stable class containing the lowest-indexed
-vertex of X (some class must contain it, so restricting the choice loses
-nothing and roughly halves the 3^n submask enumeration). Everything else in
-the package is validated against these routines, so they stay deliberately
-independent of the polynomial solvers.
+``sigma_exact`` runs a dynamic program over all vertex subsets in one
+ascending pass: the optimum for a subset X peels off one stable class
+containing X's lowest vertex j (some class must contain it). Such a class
+lies inside j plus j's non-neighbours in X, so only those candidates are
+enumerated; the classes this skips are all non-stable, so the answer stays
+exact. The cost is at most 3^n/2 submask visits (edgeless graphs) and
+shrinks with density: a complete graph takes one visit per subset.
+Everything else in the package is validated against these routines, so they
+stay deliberately independent of the polynomial solvers: the oracle keeps
+the plain lowest-vertex recurrence, with none of the table's covered/clique
+split.
 """
 
 from __future__ import annotations
@@ -24,66 +29,63 @@ def _check_cap(g: WeightedGraph, cap: int) -> None:
         raise InstanceTooLarge(f"n={g.n} exceeds cap {cap}")
 
 
-def _stability_table(g: WeightedGraph) -> bytearray:
-    """stab[mask] == 1 iff mask is a stable set of g."""
+def _peel_pass(g: WeightedGraph, src: list, dst: list) -> None:
+    """One ascending pass over the nonempty subsets X of V(g).
+
+    Sets ``dst[X]`` to the minimum of ``src[X ∖ S] + maxw[S]`` over the stable
+    classes S that contain X's lowest vertex j. On the way it fills
+    ``stab[X]`` (1 iff X is stable) and ``maxw[X]`` (heaviest weight in X)
+    from X ∖ {j}; both read only smaller indices, so they are ready before
+    the enumeration below reads them, also for S = X. ``src`` may be ``dst``
+    itself, since X ∖ S < X.
+
+    A stable class containing j lies inside {j} ∪ (X ∖ N(j)), so only the
+    submasks of ``cand = X ∖ N[j]`` are enumerated: the dropped classes are
+    all non-stable.
+    """
     n = g.n
     adj = g.adjacency
+    w = g.weights
     stab = bytearray(1 << n)
     stab[0] = 1
-    idx = [0] * (1 << n)
-    for v in range(n):
-        idx[1 << v] = v
+    maxw = [0] * (1 << n)
     for x in range(1, 1 << n):
         low = x & -x
+        j = low.bit_length() - 1
         rest = x ^ low
-        stab[x] = stab[rest] and not (adj[idx[low]] & rest)
-    return stab
-
-
-def _max_weight_table(g: WeightedGraph) -> list[int]:
-    """maxw[mask] = heaviest vertex weight inside mask (0 for the empty mask)."""
-    n = g.n
-    w = g.weights
-    maxw = [0] * (1 << n)
-    for v in range(n):
-        wv = w[v]
-        bit = 1 << v
-        step = bit << 1
-        for base in range(0, 1 << n, step):
-            for x in range(base + bit, base + step):
-                prev = maxw[x ^ bit]
-                maxw[x] = prev if prev > wv else wv
-    return maxw
+        aj = adj[j]
+        stab[x] = stab[rest] and not aj & rest
+        m = maxw[rest]
+        wj = w[j]
+        maxw[x] = m if m > wj else wj
+        cand = rest & ~aj
+        best = _INF
+        s = cand
+        while True:
+            sub = s | low
+            if stab[sub]:
+                c = src[x ^ sub] + maxw[sub]
+                if c < best:
+                    best = c
+            if not s:
+                break
+            s = (s - 1) & cand
+        dst[x] = best
 
 
 def sigma_exact(g: WeightedGraph, cap: int = DEFAULT_CAP) -> int:
     """Minimum weight over all proper colorings of ``g``.
 
-    Memoized over all 2^n vertex subsets; about 3^n/2 submask visits, so the
-    default cap keeps the instance size where that is tractable.
+    One ascending pass over all 2^n vertex subsets (see ``_peel_pass``). It
+    visits at most 3^n/2 submasks, on an edgeless graph, and far fewer on
+    dense ones; the default cap keeps the table sizes tractable.
     """
     _check_cap(g, cap)
     n = g.n
     if n == 0:
         return 0
-    stab = _stability_table(g)
-    maxw = _max_weight_table(g)
     table = [0] * (1 << n)
-    for x in range(1, 1 << n):
-        low = x & -x
-        rest = x ^ low
-        best = _INF
-        s = rest
-        while True:
-            sub = s | low
-            if stab[sub]:
-                c = table[x ^ sub] + maxw[sub]
-                if c < best:
-                    best = c
-            if not s:
-                break
-            s = (s - 1) & rest
-        table[x] = best
+    _peel_pass(g, table, table)
     return table[-1]
 
 
@@ -91,36 +93,22 @@ def sigma_exact_bounded(
     g: WeightedGraph, r: int, cap: int = DEFAULT_CAP
 ) -> int | None:
     """Minimum coloring weight using at most ``r`` classes, or None if the
-    graph has no coloring with that few classes."""
+    graph has no coloring with that few classes.
+
+    Layer i holds the optimum over colorings with at most i classes; each
+    layer is one ``_peel_pass`` reading the previous one.
+    """
     _check_cap(g, cap)
     if r < 1:
         raise PreconditionViolated(f"r={r} must be >= 1")
     n = g.n
     if n == 0:
         return 0
-    stab = _stability_table(g)
-    maxw = _max_weight_table(g)
-    size = 1 << n
-    prev = [_INF] * size
+    prev = [_INF] * (1 << n)
     prev[0] = 0
     for _ in range(min(r, n)):
-        cur = [_INF] * size
-        cur[0] = 0
-        for x in range(1, size):
-            low = x & -x
-            rest = x ^ low
-            best = prev[x]
-            s = rest
-            while True:
-                sub = s | low
-                if stab[sub]:
-                    c = prev[x ^ sub] + maxw[sub]
-                    if c < best:
-                        best = c
-                if not s:
-                    break
-                s = (s - 1) & rest
-            cur[x] = best
+        cur = [0] * (1 << n)
+        _peel_pass(g, prev, cur)
         prev = cur
     return None if prev[-1] == _INF else int(prev[-1])
 

@@ -235,3 +235,19 @@ def test_bench_csv_and_jobs_determinism(monkeypatch, capsys):
     assert strip_runtime(out1) == strip_runtime(out2)
     header = out1.splitlines()[0]
     assert header == "suite,case,n,m,k,antimatching_size,answer,sigma,runtime_ms"
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # only `bench --jobs > 1` needs a process pool; importing it at module
+    # level would cost resident memory in every process that imports the CLI
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, dwcolor.cli; print('concurrent.futures' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

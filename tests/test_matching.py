@@ -91,3 +91,14 @@ def test_residual_clique_property():
         assert is_valid_antimatching(g, am)
         assert is_clique(g, am.residual_clique)
         assert len(maximum_matching(complement(g))) == am.size
+
+
+def test_isolated_vertices_appended_keep_the_pairs():
+    # vertices with no neighbour cannot start an augmenting path, so giving
+    # them the highest ids must leave the matching of the rest unchanged
+    rng = random.Random(11)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 14), rng.random())
+        extra = rng.randint(1, 20)
+        padded = build_graph(g.n + extra, g.edges(), [1] * (g.n + extra))
+        assert maximum_matching(padded) == maximum_matching(g)

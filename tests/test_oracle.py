@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dwcolor import (
     InstanceTooLarge,
@@ -12,6 +15,7 @@ from dwcolor import (
 )
 from conftest import (
     chromatic_number_bruteforce,
+    complete_graph,
     path_graph,
     random_graph,
     sigma_partition_bruteforce,
@@ -102,3 +106,41 @@ def test_matching_bruteforce_cap():
 
     with pytest.raises(InstanceTooLarge):
         maximum_matching_bruteforce(g)
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Graphs on at most 8 vertices: edgeless, any, dense or complete edge
+    sets, with tied or spread weights."""
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    kind = draw(st.sampled_from(["edgeless", "any", "dense", "complete"]))
+    if kind == "any":
+        edges = [e for e in pairs if draw(st.booleans())]
+    elif kind == "dense":
+        few = draw(st.sets(st.sampled_from(pairs), max_size=4)) if pairs else set()
+        edges = [e for e in pairs if e not in few]
+    else:
+        edges = pairs if kind == "complete" else []
+    if draw(st.booleans()):
+        weights = [draw(st.integers(1, 3))] * n
+    else:
+        weights = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
+    return build_graph(n, edges, weights)
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_graphs())
+@example(build_graph(8, [], [5] * 8))
+@example(complete_graph(8, [8, 1, 7, 2, 6, 3, 5, 4]))
+def test_oracle_matches_partition_bruteforce(g):
+    assert sigma_exact(g) == sigma_partition_bruteforce(g)
+    for r in range(1, g.n + 1):
+        assert sigma_exact_bounded(g, r) == sigma_partition_bruteforce(g, r=r)
+
+
+def test_complete_graph_is_one_class_per_vertex():
+    # every vertex of K18 is its own class; the enumeration sees one
+    # candidate class per subset, not the 3^18/2 submasks of the subset
+    g = complete_graph(18, list(range(1, 19)))
+    assert sigma_exact(g) == g.weight_sum
