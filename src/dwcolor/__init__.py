@@ -26,8 +26,6 @@ from .errors import (
 from .graph import (
     Coloring,
     WeightedGraph,
-    are_true_twins,
-    are_twins,
     build_graph,
     coloring_weight,
     complement,
@@ -36,7 +34,6 @@ from .graph import (
     is_proper,
     is_stable,
     is_universal,
-    singleton_coloring,
 )
 from .matching import Antimatching, is_valid_antimatching, maximum_antimatching, maximum_matching
 from .oracle import (
@@ -101,9 +98,8 @@ __all__ = [
     "InvalidWeight", "MalformedEdge", "MalformedInstance",
     "NonMaximalAntimatchingWitness", "PreconditionViolated", "TrivialBudget",
     # graph
-    "Coloring", "WeightedGraph", "are_true_twins", "are_twins", "build_graph",
-    "coloring_weight", "complement", "induced_subgraph", "is_clique", "is_proper",
-    "is_stable", "is_universal", "singleton_coloring",
+    "Coloring", "WeightedGraph", "build_graph", "coloring_weight", "complement",
+    "induced_subgraph", "is_clique", "is_proper", "is_stable", "is_universal",
     # matching
     "Antimatching", "is_valid_antimatching", "maximum_antimatching",
     "maximum_matching",

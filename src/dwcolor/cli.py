@@ -36,13 +36,7 @@ from .instances import (
     reduce_setcover,
     split_partition,
 )
-from .kernel import (
-    audit_claims,
-    compute_classes,
-    kernel_size_limit,
-    kernelize,
-    remove_universal_vertices,
-)
+from .kernel import kernel_size_limit, kernelize
 from .matching import maximum_antimatching
 from .oracle import DEFAULT_CAP, sigma_exact
 
@@ -62,6 +56,10 @@ def _classes_json(c: Coloring | None) -> list[list[int]] | None:
     return [[v + 1 for v in cls] for cls in c.classes]
 
 
+def _yes_no(verdict: bool | None) -> str | None:
+    return None if verdict is None else ("yes" if verdict else "no")
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -72,7 +70,7 @@ def _read(path: str) -> str:
 
 def _answer_json(inst: DualInstance, ans: DualAnswer, emit_certificate: bool) -> dict:
     return {
-        "answer": "yes" if ans.verdict else "no",
+        "answer": _yes_no(ans.verdict),
         "sigma": ans.sigma,
         "weight_sum": inst.graph.weight_sum,
         "k": inst.k,
@@ -138,9 +136,7 @@ def cmd_kernelize(args: argparse.Namespace) -> int:
         "vertex_map": [v + 1 for v in trace.vertex_map]
         if trace.vertex_map is not None
         else None,
-        "verdict_shortcut": None
-        if trace.verdict_shortcut is None
-        else ("yes" if trace.verdict_shortcut else "no"),
+        "verdict_shortcut": _yes_no(trace.verdict_shortcut),
         "bound": {"value": red.graph.n, "limit": kernel_size_limit(inst.k)},
     }
     _emit(payload)
@@ -193,18 +189,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
         report = audit_split_bounds(inst, profile)
         _emit({"mode": "split", **asdict(report), "passed": True})
         return 0
-    # neighborhood-class audit; universal vertices are removed first since
-    # the class-count bounds presuppose their absence
-    reduced, _ = remove_universal_vertices(inst)
-    am = maximum_antimatching(reduced.graph)
-    shortcut, report = None, None
-    if am.size >= reduced.k:
-        shortcut = "yes"
-    elif reduced.graph.n == 0:
-        shortcut = "no"
-    else:
-        part = compute_classes(reduced.graph, am)
-        report = asdict(audit_claims(reduced.graph, am, part))
+    # neighborhood-class audit of the kernel's own round: the partition of
+    # the universal-free graph under its antimatching, before truncation
+    trace = kernelize(inst)
+    report = None if trace.claims is None else asdict(trace.claims)
+    shortcut = _yes_no(trace.verdict_shortcut)
     _emit({"mode": "claims", "shortcut": shortcut, "report": report, "passed": True})
     return 0
 
@@ -241,7 +230,7 @@ def _run_bench_case(case: _BenchCase) -> dict:
         "m": inst.graph.m,
         "k": inst.k,
         "antimatching_size": ans.stats.antimatching_size,
-        "answer": "yes" if ans.verdict else "no",
+        "answer": _yes_no(ans.verdict),
         "sigma": "" if ans.sigma is None else ans.sigma,
         "runtime_ms": round(ans.stats.runtime_ms, 3),
     }

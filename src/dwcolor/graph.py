@@ -175,23 +175,6 @@ def is_universal(g: WeightedGraph, v: int) -> bool:
     return g.adjacency[v] == full ^ (1 << v)
 
 
-def are_twins(g: WeightedGraph, u: int, v: int) -> bool:
-    """True iff u and v have identical open neighborhoods, N(u) = N(v).
-
-    Adjacent vertices are never twins in this sense: u in N(v) but u not in N(u).
-    """
-    g._check_vertex(u)
-    g._check_vertex(v)
-    return g.adjacency[u] == g.adjacency[v]
-
-
-def are_true_twins(g: WeightedGraph, u: int, v: int) -> bool:
-    """True iff u and v have identical closed neighborhoods, N[u] = N[v]."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    return g.adjacency[u] | (1 << u) == g.adjacency[v] | (1 << v)
-
-
 def _validate_partition(g: WeightedGraph, c: Coloring) -> None:
     seen = 0
     for cls in c.classes:
@@ -216,7 +199,3 @@ def coloring_weight(g: WeightedGraph, c: Coloring) -> int:
     _validate_partition(g, c)
     return sum(max(g.weights[v] for v in cls) for cls in c.classes)
 
-
-def singleton_coloring(g: WeightedGraph) -> Coloring:
-    """One class per vertex; its weight is the full vertex-weight sum."""
-    return Coloring(tuple((v,) for v in range(g.n)))

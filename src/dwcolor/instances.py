@@ -246,16 +246,13 @@ def audit_interval_bounds(
         raise ClaimViolation("interval_kernel", f"{kernel_size} > {limit}")
 
     class_count = class_limit = None
-    if not shortcut and trace.reduced.graph.n:
-        # class bound holds once universal vertices are gone; the reduced
-        # instance retains an induced sub-representation
+    if not shortcut:
+        # class bound holds once universal vertices are gone; truncation
+        # keeps every class, and the reduced instance retains an induced
+        # sub-representation
         sub = rep.restricted_to(trace.vertex_map)
-        sub_cliques = maximal_cliques_ordered(sub)
-        p_red = len(sub_cliques)
-        red = trace.reduced.graph
-        am_red = maximum_antimatching(red)
-        part = compute_classes(red, am_red)
-        class_count = len(part.classes)
+        p_red = len(maximal_cliques_ordered(sub))
+        class_count = trace.claims.class_count
         class_limit = ((p_red + 1) // 2) * ((p_red + 2) // 2) - 1
         if class_count > class_limit:
             raise ClaimViolation(
@@ -378,8 +375,8 @@ def audit_split_bounds(inst: DualInstance, profile: SplitProfile) -> SplitAuditR
 
     residual = remark = None
     if not shortcut:
-        am = maximum_antimatching(trace.reduced.graph)
-        residual = len(am.residual_clique)
+        # the kernel keeps the round's antimatching, which stays maximum
+        residual = size - 2 * trace.claims.antimatching_size
         remark = 2 * inst.k - 2 + residual
         if size > remark:
             raise ClaimViolation("clique_remark", f"{size} > 2k-2+{residual}")

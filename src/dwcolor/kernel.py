@@ -9,11 +9,23 @@ Two rules shrink an instance without changing the answer:
   |M| heaviest members (a swap argument shows the rest can always be
   recolored as singletons).
 
-Interleaved with the antimatching shortcut, exhaustive application leaves
-at most (2^(k-1)+1)(k-1) vertices: the covered set has at most 2(k-1)
-vertices, singleton "blind" groups number at most the non-edges they blind,
-and the remaining groups realize distinct proper neighborhoods in a set of
-at most k-1 designated endpoints.
+Both rules rest on one maximum antimatching M of the universal-free graph,
+and one round of them is already a fixpoint. Truncation deletes only
+uncovered vertices, so:
+
+* M stays an antimatching of the kernel, since its pairs are untouched;
+* M stays maximum, since deleting vertices never raises the matching
+  number of the complement;
+* no vertex becomes universal: a covered vertex keeps its partner, and a
+  clique vertex keeps a non-neighbor, which is covered (the uncovered
+  vertices form a clique) and therefore never deleted;
+* the classes are unchanged and each now has at most |M| members.
+
+With the antimatching shortcut this leaves at most (2^(k-1)+1)(k-1)
+vertices: the covered set has at most 2(k-1) vertices, singleton "blind"
+groups number at most the non-edges they blind, and the remaining groups
+realize distinct proper neighborhoods in a set of at most k-1 designated
+endpoints.
 """
 
 from __future__ import annotations
@@ -69,18 +81,34 @@ class RuleApplication:
 
 
 @dataclass(frozen=True)
+class ClaimReport:
+    """Counts backing the audited structure of a reduced instance."""
+
+    antimatching_size: int
+    class_count: int
+    special_class_count: int
+    normal_class_count: int
+    special_pairs: int
+    normal_pairs: int
+    largest_class: int
+
+
+@dataclass(frozen=True)
 class KernelTrace:
     """Reduced instance plus the log needed to reproduce it.
 
     ``vertex_map[new_id] = original_id``; it is None when the reduction
     resolved the instance outright and ``reduced`` is one of the canonical
-    instances (``verdict_shortcut`` then carries the answer).
+    instances (``verdict_shortcut`` then carries the answer). ``claims`` is
+    :func:`audit_claims` of the round's class partition, taken before
+    truncation; it is None exactly when ``verdict_shortcut`` is set.
     """
 
     reduced: DualInstance
     log: tuple[RuleApplication, ...]
     vertex_map: tuple[int, ...] | None
     verdict_shortcut: bool | None
+    claims: ClaimReport | None
 
 
 def canonical_yes_instance(k: int) -> DualInstance:
@@ -219,57 +247,41 @@ def truncate_classes(
 
 
 def kernelize(inst: DualInstance) -> KernelTrace:
-    """Apply both rules to a fixpoint, resolving trivial outcomes inline.
+    """Apply both rules once, resolving trivial outcomes inline.
 
-    Loop: exhaust universal-vertex deletion; recompute a maximum
-    antimatching; with >= k pairs emit the canonical yes-instance, on an
-    empty graph the canonical no-instance; otherwise truncate oversized
-    classes and repeat until nothing changes.
+    Delete every universal vertex; compute one maximum antimatching M; with
+    >= k pairs emit the canonical yes-instance, on an empty graph the
+    canonical no-instance; otherwise audit the class partition and truncate
+    oversized classes. The result is a fixpoint of both rules: truncation
+    keeps M a maximum antimatching, makes no vertex universal and leaves
+    every class with at most |M| members (see the module docstring).
     """
     k = inst.k
-    ids = tuple(range(inst.graph.n))  # current id -> original id
-    log: list[RuleApplication] = []
+    n = inst.graph.n
+    inst, universal = remove_universal_vertices(inst)
+    log = [RuleApplication(RULE_UNIVERSAL, universal)] if universal else []
+    g = inst.graph
 
-    def record(rule: str, deleted: tuple[int, ...]) -> tuple[int, ...]:
-        if deleted:
-            log.append(RuleApplication(rule, tuple(ids[v] for v in deleted)))
-        return _without(ids, deleted)
+    am = maximum_antimatching(g)
+    if am.size >= k:
+        return KernelTrace(canonical_yes_instance(k), tuple(log), None, True, None)
+    if g.n == 0:
+        return KernelTrace(canonical_no_instance(k), tuple(log), None, False, None)
 
-    while True:
-        inst, deleted = remove_universal_vertices(inst)
-        ids = record(RULE_UNIVERSAL, deleted)
-        g = inst.graph
-
-        am = maximum_antimatching(g)
-        if am.size >= k:
-            return KernelTrace(canonical_yes_instance(k), tuple(log), None, True)
-        if g.n == 0:
-            return KernelTrace(canonical_no_instance(k), tuple(log), None, False)
-
-        part = compute_classes(g, am)
-        g, doomed = truncate_classes(g, am, part)
-        if not doomed:
-            return KernelTrace(inst, tuple(log), ids, None)
-        ids = record(RULE_TRUNCATE, doomed)
-        inst = DualInstance(g, k)
+    part = compute_classes(g, am)
+    claims = audit_claims(g, am, part)
+    reduced, doomed = truncate_classes(g, am, part)
+    ids = _without(range(n), universal)  # current id -> original id
+    if doomed:
+        log.append(RuleApplication(RULE_TRUNCATE, tuple(ids[v] for v in doomed)))
+    return KernelTrace(
+        DualInstance(reduced, k), tuple(log), _without(ids, doomed), None, claims
+    )
 
 
 def replay_log(g: WeightedGraph, log: tuple[RuleApplication, ...]) -> WeightedGraph:
     """Apply the logged deletions to the original graph."""
     return _delete(g, {v for app in log for v in app.deleted})
-
-
-@dataclass(frozen=True)
-class ClaimReport:
-    """Counts backing the audited structure of a reduced instance."""
-
-    antimatching_size: int
-    class_count: int
-    special_class_count: int
-    normal_class_count: int
-    special_pairs: int
-    normal_pairs: int
-    largest_class: int
 
 
 def audit_claims(

@@ -78,9 +78,10 @@ def sigma_exact(g: WeightedGraph, cap: int = DEFAULT_CAP) -> int:
 
     One ascending pass over all 2^n vertex subsets (see ``_peel_pass``). It
     visits at most 3^n/2 submasks, on an edgeless graph, and far fewer on
-    dense ones; the default cap keeps the table sizes tractable.
+    dense ones. ``cap`` can only lower ``DEFAULT_CAP``: past it the 2^n-entry
+    tables take gigabytes.
     """
-    _check_cap(g, cap)
+    _check_cap(g, min(cap, DEFAULT_CAP))
     n = g.n
     if n == 0:
         return 0
@@ -98,7 +99,7 @@ def sigma_exact_bounded(
     Layer i holds the optimum over colorings with at most i classes; each
     layer is one ``_peel_pass`` reading the previous one.
     """
-    _check_cap(g, cap)
+    _check_cap(g, min(cap, DEFAULT_CAP))
     if r < 1:
         raise PreconditionViolated(f"r={r} must be >= 1")
     n = g.n

@@ -1,10 +1,15 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 from dwcolor.cli import main
+from dwcolor.formats import parse_dwc, serialize_dwc
+from dwcolor.fpt import DualInstance
+from dwcolor.kernel import kernelize
+from conftest import complete_graph
 
 P3 = "p dwc 3 2 1\nw 1 1\nw 2 2\nw 3 1\ne 1 2\ne 2 3\n"
 K2 = "p dwc 2 1 1\nw 1 3\nw 2 5\ne 1 2\n"
@@ -142,6 +147,15 @@ def test_solve_oracle_cap_exceeded_exit_two(p3_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_oracle_cap_cannot_raise_table_bound(tmp_path, capsys):
+    # a raised --cap would let the oracle commit 2^n-entry tables
+    path = tmp_path / "k23.dwc"
+    path.write_text(serialize_dwc(DualInstance(complete_graph(23), 1)))
+    assert main(["solve", str(path), "--oracle", "--cap", "64"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_generate_deterministic_bytes():
     a = run_cli(["generate", "random", "--n", "20", "--p", "0.5", "--k", "3", "--seed", "7"])
     b = run_cli(["generate", "random", "--n", "20", "--p", "0.5", "--k", "3", "--seed", "7"])
@@ -185,6 +199,22 @@ def test_audit_claims(tmp_path, capsys):
     assert out["passed"] is True
     assert out["report"]["normal_class_count"] == 3
     assert out["report"]["special_class_count"] == 0
+
+
+def test_audit_claims_reports_the_kernel_round(tmp_path, capsys):
+    # vertices 3-5 form one class of three under a one-pair antimatching:
+    # the report describes the partition before truncation cuts it to one
+    text = "p dwc 5 6 2\n" + "".join(f"w {v} {v}\n" for v in range(1, 6))
+    text += "e 1 3\ne 1 4\ne 1 5\ne 3 4\ne 3 5\ne 4 5\n"
+    path = tmp_path / "class.dwc"
+    path.write_text(text)
+    assert main(["audit", str(path), "--claims"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    report = out["report"]
+    assert report["largest_class"] == 3 > report["antimatching_size"] == 1
+    trace = kernelize(parse_dwc(text))
+    assert report == asdict(trace.claims)
+    assert trace.reduced.graph.n < 5
 
 
 def test_audit_interval(tmp_path, capsys):

@@ -10,8 +10,6 @@ from dwcolor import (
     InvalidVertex,
     InvalidWeight,
     MalformedEdge,
-    are_true_twins,
-    are_twins,
     build_graph,
     coloring_weight,
     complement,
@@ -20,7 +18,6 @@ from dwcolor import (
     is_proper,
     is_stable,
     is_universal,
-    singleton_coloring,
 )
 from conftest import complete_graph, path_graph, random_graph, star_graph
 
@@ -77,23 +74,10 @@ def test_predicates():
     star = star_graph(3)
     assert is_universal(star, 0)
     assert not is_universal(star, 1)
-    assert are_twins(star, 1, 2)
-    assert not are_twins(star, 0, 1)
     with pytest.raises(InvalidVertex):
         is_universal(star, 5)
     with pytest.raises(InvalidVertex):
         is_stable(star, {9})
-
-
-def test_twins_vs_true_twins():
-    # adjacent clique vertices share all other neighbors: true twins, not twins
-    g = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)], [1] * 4)
-    assert are_true_twins(g, 0, 1)
-    assert not are_twins(g, 0, 1)
-    # the two leaves of a star: twins and (being non-adjacent) not true twins
-    star = star_graph(3)
-    assert are_twins(star, 1, 2)
-    assert not are_true_twins(star, 1, 2)
 
 
 def test_coloring_weight_and_proper():
@@ -101,7 +85,6 @@ def test_coloring_weight_and_proper():
     c = Coloring(((0, 2), (1,)))
     assert is_proper(g, c)
     assert coloring_weight(g, c) == 3
-    assert coloring_weight(g, singleton_coloring(g)) == g.weight_sum
     g2 = build_graph(3, [(0, 2)], [1, 2, 1])
     assert not is_proper(g2, c)
 

@@ -49,9 +49,15 @@ def test_universal_rule():
 
 def test_kernelize_rebuilds_graph_at_most_twice_per_round(monkeypatch):
     # one graph rebuild per rule per round, however many vertices a rule
-    # deletes; a round is one antimatching computation
+    # deletes; a round is one antimatching computation, and one round is a
+    # fixpoint, also when truncation deletes vertices
     calls = Counter()
-    for name in ("induced_subgraph", "maximum_antimatching"):
+    for name in (
+        "induced_subgraph",
+        "maximum_antimatching",
+        "compute_classes",
+        "truncate_classes",
+    ):
         fn = getattr(kernel, name)
 
         def counting(*args, _fn=fn, _name=name, **kwargs):
@@ -59,11 +65,16 @@ def test_kernelize_rebuilds_graph_at_most_twice_per_round(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(kernel, name, counting)
-    tr = kernelize(bench_instance(60, 6, 1))
-    rounds = calls["maximum_antimatching"]
-    universal = [v for app in tr.log if app.rule == "delete_universal" for v in app.deleted]
-    assert len(universal) > 2 * rounds  # dense enough to tell the two apart
-    assert calls["induced_subgraph"] <= 2 * rounds
+    for k, truncating in ((6, False), (3, True)):
+        calls.clear()
+        tr = kernelize(bench_instance(60, k, 1))
+        rounds = calls["maximum_antimatching"]
+        universal = [v for app in tr.log if app.rule == "delete_universal" for v in app.deleted]
+        assert len(universal) > 2 * rounds  # dense enough to tell the two apart
+        assert calls["induced_subgraph"] <= 2 * rounds
+        assert any(app.rule == "truncate_class" for app in tr.log) == truncating
+        assert rounds == calls["compute_classes"] == calls["truncate_classes"] == 1
+        assert calls["induced_subgraph"] <= 2
 
 
 def test_compute_classes_simple():

@@ -13,6 +13,7 @@ from dwcolor import (
     sigma_exact,
     sigma_exact_bounded,
 )
+from dwcolor.oracle import DEFAULT_CAP
 from conftest import (
     chromatic_number_bruteforce,
     complete_graph,
@@ -53,6 +54,12 @@ def test_cap():
         sigma_exact(g, cap=4)
     with pytest.raises(InstanceTooLarge):
         sigma_exact_bounded(g, 2, cap=4)
+    # a cap above the default cannot raise the 2^n table bound
+    big = complete_graph(DEFAULT_CAP + 1)
+    with pytest.raises(InstanceTooLarge):
+        sigma_exact(big, cap=64)
+    with pytest.raises(InstanceTooLarge):
+        sigma_exact_bounded(big, 2, cap=64)
 
 
 def test_against_partition_bruteforce():
