@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import FormatError
 from .fpt import DualInstance
-from .graph import build_graph
+from .graph import build_graph, higher_neighbors
 from .instances import IntervalRepresentation, SetCoverInstance, intervals_to_graph
 
 
@@ -105,9 +105,15 @@ def parse_dwc(text: str) -> DualInstance:
 
 def serialize_dwc(inst: DualInstance) -> str:
     g = inst.graph
+    ids = [str(v + 1) for v in range(g.n)]
     lines = [f"p dwc {g.n} {g.m} {inst.k}"]
-    lines.extend(f"w {v + 1} {g.weights[v]}" for v in range(g.n))
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
+    lines.extend(f"w {ids[v]} {g.weights[v]}" for v in range(g.n))
+    # each vertex's edge lines are joined into one entry
+    for u, higher in higher_neighbors(g.adjacency):
+        head = f"e {ids[u]} "
+        tails = ("\n" + head).join(map(ids.__getitem__, higher))
+        if tails:
+            lines.append(head + tails)
     return "\n".join(lines) + "\n"
 
 

@@ -234,11 +234,11 @@ def audit_interval_bounds(
     cliques = maximal_cliques_ordered(rep)
     vertex_clique_spans(cliques, g.n)
     p = len(cliques)
-    am = maximum_antimatching(g)
-    if p >= 2 and p > 2 * am.size + (p & 1):
-        raise ClaimViolation("clique_count", f"p={p} > 2*{am.size} + parity")
-
     trace = kernelize(inst)
+    am_size = trace.antimatching_size
+    if p >= 2 and p > 2 * am_size + (p & 1):
+        raise ClaimViolation("clique_count", f"p={p} > 2*{am_size} + parity")
+
     shortcut = trace.verdict_shortcut is not None
     kernel_size = trace.reduced.graph.n
     limit = interval_kernel_limit(inst.k)
@@ -260,7 +260,7 @@ def audit_interval_bounds(
             )
     return IntervalAuditReport(
         p=p,
-        antimatching_size=am.size,
+        antimatching_size=am_size,
         class_count=class_count,
         class_limit=class_limit,
         kernel_size=kernel_size,
@@ -506,9 +506,18 @@ def random_instance(
         raise PreconditionViolated(f"p={p} must lie in [0, 1]")
     _check_size(n, f"n={n}")
     rng = random.Random(seed)
-    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-    weights = [rng.randint(1, wmax) for _ in range(n)]
-    return DualInstance(build_graph(n, edges, weights), k)
+    draw = rng.random
+    # one draw per pair in combinations order; row u holds the pairs (u, v > u)
+    # as binary digits with bit v at index v, and column u the pairs (v < u, u)
+    digits = "".join(["1" if draw() < p else "0" for _ in range(n * (n - 1) // 2)])
+    rows, end = [], 0
+    for u in range(n):
+        start, end = end, end + n - 1 - u
+        rows.append("0" * (u + 1) + digits[start:end])
+    columns = ["".join(c) for c in zip(*rows)]
+    adj = tuple(int(r[::-1], 2) | int(c[::-1], 2) for r, c in zip(rows, columns))
+    weights = tuple(rng.randint(1, wmax) for _ in range(n))
+    return DualInstance(WeightedGraph(n, adj, weights), k)
 
 
 def random_split_instance(
@@ -564,13 +573,16 @@ def bench_instance(n: int, k: int, seed: int, wmax: int = 5) -> DualInstance:
         raise PreconditionViolated("n too small for the requested parameter")
     rng = random.Random(seed)
     centers = list(range(k - 1))
-    removed = {(j, k - 1 + j) for j in centers}
+    missing = [0] * n  # non-neighbor mask per vertex
+    for j in centers:
+        missing[j] |= 1 << (k - 1 + j)
+        missing[k - 1 + j] |= 1 << j
     for u in range(2 * (k - 1), n):
         if rng.random() < 0.4 and centers:
             for c in rng.sample(centers, rng.randint(1, min(3, len(centers)))):
-                removed.add((c, u))
-    edges = [
-        e for e in itertools.combinations(range(n), 2) if e not in removed
-    ]
-    weights = [rng.randint(1, wmax) for _ in range(n)]
-    return DualInstance(build_graph(n, edges, weights), k)
+                missing[c] |= 1 << u
+                missing[u] |= 1 << c
+    full = (1 << n) - 1
+    adj = tuple(full ^ (m | 1 << v) for v, m in enumerate(missing))
+    weights = tuple(rng.randint(1, wmax) for _ in range(n))
+    return DualInstance(WeightedGraph(n, adj, weights), k)

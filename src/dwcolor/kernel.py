@@ -102,6 +102,9 @@ class KernelTrace:
     instances (``verdict_shortcut`` then carries the answer). ``claims`` is
     :func:`audit_claims` of the round's class partition, taken before
     truncation; it is None exactly when ``verdict_shortcut`` is set.
+    ``antimatching_size`` is the size of the round's maximum antimatching,
+    which is also that of the input graph: universal vertices are isolated
+    in the complement.
     """
 
     reduced: DualInstance
@@ -109,6 +112,7 @@ class KernelTrace:
     vertex_map: tuple[int, ...] | None
     verdict_shortcut: bool | None
     claims: ClaimReport | None
+    antimatching_size: int
 
 
 def canonical_yes_instance(k: int) -> DualInstance:
@@ -264,9 +268,9 @@ def kernelize(inst: DualInstance) -> KernelTrace:
 
     am = maximum_antimatching(g)
     if am.size >= k:
-        return KernelTrace(canonical_yes_instance(k), tuple(log), None, True, None)
+        return KernelTrace(canonical_yes_instance(k), tuple(log), None, True, None, am.size)
     if g.n == 0:
-        return KernelTrace(canonical_no_instance(k), tuple(log), None, False, None)
+        return KernelTrace(canonical_no_instance(k), tuple(log), None, False, None, am.size)
 
     part = compute_classes(g, am)
     claims = audit_claims(g, am, part)
@@ -275,7 +279,7 @@ def kernelize(inst: DualInstance) -> KernelTrace:
     if doomed:
         log.append(RuleApplication(RULE_TRUNCATE, tuple(ids[v] for v in doomed)))
     return KernelTrace(
-        DualInstance(reduced, k), tuple(log), _without(ids, doomed), None, claims
+        DualInstance(reduced, k), tuple(log), _without(ids, doomed), None, claims, am.size
     )
 
 

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import dwcolor
 from dwcolor.cli import main
 from dwcolor.formats import parse_dwc, serialize_dwc
 from dwcolor.fpt import DualInstance
@@ -13,6 +16,13 @@ from conftest import complete_graph
 
 P3 = "p dwc 3 2 1\nw 1 1\nw 2 2\nw 3 1\ne 1 2\ne 2 3\n"
 K2 = "p dwc 2 1 1\nw 1 3\nw 2 5\ne 1 2\n"
+
+# child interpreters import the same package as this process, also when it
+# comes from pytest's `pythonpath` setting rather than the environment
+SRC = str(Path(dwcolor.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])
+)}
 
 
 @pytest.fixture
@@ -34,6 +44,7 @@ def run_cli(args):
         [sys.executable, "-m", "dwcolor.cli", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     return proc
 
@@ -278,6 +289,7 @@ def test_cli_import_leaves_concurrent_futures_unloaded():
         ],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -1,6 +1,10 @@
-import pytest
+import itertools
 
-from dwcolor import FormatError
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dwcolor import FormatError, build_graph
 from dwcolor.formats import (
     detect_format,
     parse_dwc,
@@ -10,7 +14,8 @@ from dwcolor.formats import (
     serialize_interval,
     serialize_setcover,
 )
-from dwcolor.instances import SetCoverInstance, IntervalRepresentation
+from dwcolor.fpt import DualInstance
+from dwcolor.instances import SetCoverInstance, IntervalRepresentation, intervals_to_graph
 
 
 DWC = """c a comment
@@ -130,3 +135,85 @@ def test_serializers_are_canonical():
     assert rep2 == rep
     sc = SetCoverInstance(3, (frozenset({2, 0}),), 2)
     assert "s 1 1 3" in serialize_setcover(sc)
+
+
+# ---- round-trip properties ----
+
+
+@st.composite
+def dwc_cases(draw):
+    """An instance on at most 40 vertices (edgeless, any, dense or complete
+    edge set) with its sorted edge list."""
+    n = draw(st.integers(0, 40))
+    pairs = list(itertools.combinations(range(n), 2))
+    kind = draw(st.sampled_from(["edgeless", "any", "dense", "complete"]))
+    if kind == "any":
+        chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
+        edges = [e for i, e in enumerate(pairs) if chosen >> i & 1]
+    elif kind == "dense":
+        few = draw(st.sets(st.sampled_from(pairs), max_size=6)) if pairs else set()
+        edges = [e for e in pairs if e not in few]
+    else:
+        edges = pairs if kind == "complete" else []
+    weights = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+    k = draw(st.integers(1, 100))
+    return DualInstance(build_graph(n, edges, weights), k), edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(dwc_cases())
+@example((DualInstance(build_graph(0, [], []), 1), []))
+@example((DualInstance(build_graph(1, [], [7]), 3), []))
+def test_dwc_round_trip_property(case):
+    inst, edges = case
+    g = inst.graph
+    canonical = "".join(
+        [f"p dwc {g.n} {len(edges)} {inst.k}\n"]
+        + [f"w {v + 1} {w}\n" for v, w in enumerate(g.weights)]
+        + [f"e {u + 1} {v + 1}\n" for u, v in edges]
+    )
+    assert serialize_dwc(inst) == canonical
+    assert parse_dwc(canonical) == inst
+    assert serialize_dwc(parse_dwc(canonical)) == canonical
+    assert g.edges() == edges
+    assert g.edges() == [
+        (u, v) for u, v in itertools.combinations(range(g.n), 2) if g.has_edge(u, v)
+    ]
+
+
+@st.composite
+def interval_cases(draw):
+    n = draw(st.integers(0, 40))
+    ivs = []
+    for _ in range(n):
+        left = draw(st.integers(-50, 50))
+        ivs.append((left, left + draw(st.integers(0, 20))))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
+    return IntervalRepresentation(tuple(ivs), tuple(weights)), draw(st.integers(1, 100))
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_cases())
+def test_interval_round_trip_property(case):
+    rep, k = case
+    text = serialize_interval(rep, k)
+    inst, parsed = parse_interval(text)
+    assert parsed == rep
+    assert inst == DualInstance(intervals_to_graph(rep), k)
+    assert serialize_interval(parsed, k) == text
+
+
+@st.composite
+def setcover_cases(draw):
+    universe = draw(st.integers(1, 40))
+    elems = st.integers(0, universe - 1)
+    family = draw(st.lists(st.frozensets(elems, min_size=1), min_size=1, max_size=40))
+    return SetCoverInstance(universe, tuple(family), draw(st.integers(1, 100)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(setcover_cases())
+def test_setcover_round_trip_property(sc):
+    text = serialize_setcover(sc)
+    assert parse_setcover(text) == sc
+    assert serialize_setcover(parse_setcover(text)) == text

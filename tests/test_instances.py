@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from dwcolor import (
     is_stable,
     sigma_exact,
 )
+from dwcolor.formats import parse_dwc, serialize_dwc
 from dwcolor.fpt import DualInstance
 from dwcolor.kernel import audit_claims, compute_classes, kernel_size_limit, kernelize
 from dwcolor.matching import maximum_antimatching
@@ -271,6 +273,33 @@ def test_interval_audit_random():
             assert report.kernel_size <= interval_kernel_limit(inst.k)
 
 
+def test_interval_audit_reads_the_kernel_antimatching(monkeypatch):
+    # kernelize's antimatching of the universal-free graph has the size of
+    # the original graph's (universal vertices are isolated in the
+    # complement), so the audit computes no second one
+    import dwcolor.instances as instances
+    import dwcolor.kernel as kernel
+
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return maximum_antimatching(g)
+
+    monkeypatch.setattr(kernel, "maximum_antimatching", counting)
+    monkeypatch.setattr(instances, "maximum_antimatching", counting)
+    rng = random.Random(61)
+    for _ in range(40):
+        inst, rep = random_interval_instance(
+            rng.randint(1, 12), rng.randint(2, 5), seed=rng.randrange(1 << 30), span=12
+        )
+        calls.clear()
+        report = audit_interval_bounds(inst, rep)
+        assert len(calls) == 1
+        assert report.antimatching_size == maximum_antimatching(inst.graph).size
+        assert kernelize(inst).antimatching_size == report.antimatching_size
+
+
 def test_clique_count_parity_boundary():
     # three pairwise disjoint intervals: 3 maximal cliques but only one
     # disjoint non-edge pair fits on 3 vertices, so the even-p inequality
@@ -358,6 +387,36 @@ def test_bench_instance_deterministic():
     a = bench_instance(30, 4, seed=9)
     b = bench_instance(30, 4, seed=9)
     assert a.graph == b.graph and a.k == b.k
+
+
+# sha256 of serialize_dwc's bytes, recorded from the edge-list generators; a
+# change to the order of the rng calls, the graph or the text changes them
+SEEDED_DIGESTS = [
+    ("bench", (60, 3, 1), "e35cbdf505d63759e42c1fd98422edf7e4ab367520ea35ea47c19c5da586b0ce"),
+    ("bench", (200, 8, 1), "4eb292f60dcce52554155b7cfa99a24bbfd16d6400b80d621fc9ac66ec66c02f"),
+    ("bench", (400, 5, 2), "c5c4279dd6667c0fb63ce2410b791b1dbc6594280142d74cb98faae3fa331952"),
+    ("random", (0, 0.5, 1, 1), "8f611d2917c75d48e3824cf271b3e33892cdb9f6258c4016d05bb8e26098e0db"),
+    ("random", (1, 1.0, 1, 1), "7ad6ef59636adf9e8138ab95ab7dfe9b875acafdf4ee618f0c4fa61ac5a37624"),
+    ("random", (1, 0.0, 2, 4), "ef965233564695fbe253e2a63f04dfd6ad8cded6392ec6350e0e747524e5056c"),
+    ("random", (12, 0.0, 2, 3), "091e409fbb6b40ed90bf25194482e6405ed20aa6835b84d39df6c5fdae49c8b4"),
+    ("random", (30, 0.5, 3, 1), "d719a6ced174845a3ff27d57d6f964a9a39017f0b7d202aed90ab68e6369c8ac"),
+    ("random", (40, 0.98, 4, 2), "433cbd2828fe672a70d76f8317324da65545f7a8caa4a2c32acb3c96be46d360"),
+    ("random", (25, 1.0, 2, 5), "31700cbd01e070d7915aa81a476eba77c4f58392b3a73962736f9a9bddd55d53"),
+    ("random", (120, 0.98, 5, 9), "8c39723d91f80863c040a4e0b7693f0e4def71c3262b5adcb08d4e4f308a5897"),
+    ("random", (17, 0.5, 2, 8, 9), "48fd87cd2d9b9c97c8f8620b1c30d9f2d8652a4ac8686f12664649f784fac567"),
+]
+
+
+@pytest.mark.parametrize("kind,args,digest", SEEDED_DIGESTS)
+def test_seeded_generators_are_pinned(kind, args, digest):
+    inst = (bench_instance if kind == "bench" else random_instance)(*args)
+    text = serialize_dwc(inst)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # the generators fill the adjacency rows directly; rebuilding from the
+    # edge list rejects loops and checks that every row is symmetric
+    g = inst.graph
+    assert build_graph(g.n, g.edges(), g.weights) == g
+    assert parse_dwc(text) == inst
 
 
 # ---- generator arguments ----
