@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``solve``, ``kernelize``, ``generate``, ``audit``, ``bench``.
-JSON goes to stdout with a fixed key order; vertex ids in all output are
-1-indexed, matching the file formats. Exit codes: ``solve`` exits 0 on a
-yes-answer, 1 on no, 2 on any error; the other subcommands exit 0 on
-success and 2 on error.
+Subcommands: ``solve``, ``kernelize``, ``generate``, ``audit``. JSON goes
+to stdout with a fixed key order. Every engine works on 0-indexed ids and
+every id it prints passes through :func:`_one_based`, so output ids match
+the 1-indexed file formats. Exit codes: ``solve`` exits 0 on a yes-answer,
+1 on no, 2 on any error; the other subcommands exit 0 on success and 2 on
+error.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, replace
+from typing import Iterable
 
 from .errors import DwcError, FormatError
-from .fpt import DualAnswer, DualInstance, SolveStats, solve_dual
+from .fpt import DualAnswer, SolveStats, solve_dual
 from .formats import (
     detect_format,
     parse_dwc,
@@ -29,7 +31,6 @@ from .graph import Coloring
 from .instances import (
     audit_interval_bounds,
     audit_split_bounds,
-    bench_instance,
     gen_tight_general,
     gen_tight_interval,
     random_instance,
@@ -50,10 +51,13 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload))
 
 
+def _one_based(ids: Iterable[int] | None) -> list[int] | None:
+    """The file formats' 1-indexed form of in-memory vertex ids."""
+    return None if ids is None else [v + 1 for v in ids]
+
+
 def _classes_json(c: Coloring | None) -> list[list[int]] | None:
-    if c is None:
-        return None
-    return [[v + 1 for v in cls] for cls in c.classes]
+    return None if c is None else [_one_based(cls) for cls in c.classes]
 
 
 def _yes_no(verdict: bool | None) -> str | None:
@@ -68,50 +72,36 @@ def _read(path: str) -> str:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _answer_json(inst: DualInstance, ans: DualAnswer, emit_certificate: bool) -> dict:
-    return {
-        "answer": _yes_no(ans.verdict),
-        "sigma": ans.sigma,
-        "weight_sum": inst.graph.weight_sum,
-        "k": inst.k,
-        "certificate": _classes_json(ans.certificate) if emit_certificate else None,
-        "stats": {**asdict(ans.stats), "runtime_ms": round(ans.stats.runtime_ms, 3)},
-    }
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_dwc(_read(args.path))
-    mode = "both" if args.both else ("oracle" if args.oracle else "fpt")
-    if mode == "fpt":
-        ans = solve_dual(inst)
-    else:
-        start = time.perf_counter()
-        sigma = sigma_exact(inst.graph, args.cap)
+    g = inst.graph
+    start = time.perf_counter()
+    if args.oracle or args.both:
+        sigma = sigma_exact(g, args.cap)
         verdict = sigma <= inst.threshold
-        if mode == "both":
-            fpt_ans = solve_dual(inst)
-            if fpt_ans.verdict != verdict:
-                return _fail(
-                    f"solver disagreement: oracle says {verdict}, table says "
-                    f"{fpt_ans.verdict}"
-                )
-            cert = fpt_ans.certificate
-            am_size, cl_size = (
-                fpt_ans.stats.antimatching_size,
-                fpt_ans.stats.clique_size,
+    if args.oracle:
+        am = maximum_antimatching(g)
+        stats = SolveStats(am.size, g.n - 2 * am.size, g.n, g.m, 0.0)
+        ans = DualAnswer(verdict, sigma, None, stats)
+    else:
+        ans = solve_dual(inst)
+    if args.both:
+        if ans.verdict != verdict:
+            return _fail(
+                f"solver disagreement: oracle says {verdict}, table says {ans.verdict}"
             )
-        else:
-            cert = None
-            am = maximum_antimatching(inst.graph)
-            am_size, cl_size = am.size, inst.graph.n - 2 * am.size
-        ms = (time.perf_counter() - start) * 1000.0
-        ans = DualAnswer(
-            verdict,
-            sigma,
-            cert,
-            SolveStats(am_size, cl_size, inst.graph.n, inst.graph.m, ms),
-        )
-    _emit(_answer_json(inst, ans, args.emit_certificate))
+        ans = replace(ans, sigma=sigma)
+    # the time of every engine the mode ran: under --both, the oracle's and the table's
+    ms = round((time.perf_counter() - start) * 1000.0, 3)
+    payload = {
+        "answer": _yes_no(ans.verdict),
+        "sigma": ans.sigma,
+        "weight_sum": g.weight_sum,
+        "k": inst.k,
+        "certificate": _classes_json(ans.certificate) if args.emit_certificate else None,
+        "stats": asdict(replace(ans.stats, runtime_ms=ms)),
+    }
+    _emit(payload)
     return 0 if ans.verdict else 1
 
 
@@ -125,17 +115,14 @@ def cmd_kernelize(args: argparse.Namespace) -> int:
             "m": red.graph.m,
             "k": red.k,
             "weights": list(red.graph.weights),
-            "edges": [[u + 1, v + 1] for u, v in red.graph.edges()],
+            "edges": [_one_based(e) for e in red.graph.edges()],
         },
         "log": [
-            {"rule": app.rule, "deleted": [v + 1 for v in app.deleted]}
-            for app in trace.log
+            {"rule": app.rule, "deleted": _one_based(app.deleted)} for app in trace.log
         ]
         if args.emit_trace
         else None,
-        "vertex_map": [v + 1 for v in trace.vertex_map]
-        if trace.vertex_map is not None
-        else None,
+        "vertex_map": _one_based(trace.vertex_map),
         "verdict_shortcut": _yes_no(trace.verdict_shortcut),
         "bound": {"value": red.graph.n, "limit": kernel_size_limit(inst.k)},
     }
@@ -198,74 +185,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _BenchCase:
-    suite: str
-    case: str
-    n: int
-    k: int
-    seed: int
-
-
-def _bench_cases(suite: str, seed: int) -> list[_BenchCase]:
-    if suite == "fpt-scaling":
-        return [
-            _BenchCase(suite, f"k={k}", 200, k, seed * 1000 + k) for k in range(2, 9)
-        ]
-    if suite == "fpt-n-scaling":
-        return [
-            _BenchCase(suite, f"n={n}", n, 6, seed * 1000 + n)
-            for n in (100, 200, 400)
-        ]
-    raise DwcError(f"unknown bench suite {suite!r}")
-
-
-def _run_bench_case(case: _BenchCase) -> dict:
-    inst = bench_instance(case.n, case.k, case.seed)
-    ans = solve_dual(inst)
-    return {
-        "suite": case.suite,
-        "case": case.case,
-        "n": inst.graph.n,
-        "m": inst.graph.m,
-        "k": inst.k,
-        "antimatching_size": ans.stats.antimatching_size,
-        "answer": _yes_no(ans.verdict),
-        "sigma": "" if ans.sigma is None else ans.sigma,
-        "runtime_ms": round(ans.stats.runtime_ms, 3),
-    }
-
-
-BENCH_COLUMNS = (
-    "suite",
-    "case",
-    "n",
-    "m",
-    "k",
-    "antimatching_size",
-    "answer",
-    "sigma",
-    "runtime_ms",
-)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    cases = _bench_cases(args.suite, args.seed)
-    if args.jobs > 1:
-        # imported here: concurrent.futures costs resident memory in every
-        # process that imports the CLI, and only this branch needs it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_run_bench_case, cases))
-    else:
-        rows = [_run_bench_case(c) for c in cases]
-    print(",".join(BENCH_COLUMNS))
-    for row in rows:
-        print(",".join(str(row[col]) for col in BENCH_COLUMNS))
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dwcolor",
@@ -309,11 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     what.add_argument("--split", action="store_true")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("bench", help="run a benchmark suite, CSV to stdout")
-    p.add_argument("suite", choices=["fpt-scaling", "fpt-n-scaling"])
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -38,6 +38,13 @@ def _int(tok: str, lineno: str, what: str) -> int:
         raise FormatError(f"line {lineno}: {what} {tok!r} is not an integer") from None
 
 
+def _check_counts(lineno: str, **counts: int) -> None:
+    """Reject a negative count in the header on line ``lineno``."""
+    for name, value in counts.items():
+        if value < 0:
+            raise FormatError(f"line {lineno}: {name}={value} must be >= 0")
+
+
 def _check_declared(rows: list[list[str]], count: int, what: str) -> None:
     """Reject a header declaring more items than there are body lines, before
     anything is allocated per item."""
@@ -65,6 +72,7 @@ def parse_dwc(text: str) -> DualInstance:
     if len(head) != 6 or head[2] != "dwc":
         raise FormatError(f"line {head[0]}: expected 'p dwc <n> <m> <k>'")
     n, m, k = (_int(t, head[0], "header field") for t in head[3:6])
+    _check_counts(head[0], n=n, m=m)
     if k < 1:
         raise FormatError(f"line {head[0]}: parameter k={k} must be >= 1")
     _check_declared(rows, n, "vertices")
@@ -125,6 +133,7 @@ def parse_interval(text: str) -> tuple[DualInstance, IntervalRepresentation]:
     if len(head) != 5 or head[2] != "interval":
         raise FormatError(f"line {head[0]}: expected 'p interval <n> <k>'")
     n, k = (_int(t, head[0], "header field") for t in head[3:5])
+    _check_counts(head[0], n=n)
     if k < 1:
         raise FormatError(f"line {head[0]}: parameter k={k} must be >= 1")
     _check_declared(rows, n, "intervals")
@@ -171,6 +180,7 @@ def parse_setcover(text: str) -> SetCoverInstance:
     if len(head) != 6 or head[2] != "setcover":
         raise FormatError(f"line {head[0]}: expected 'p setcover <universe> <sets> <ell>'")
     universe, nsets, ell = (_int(t, head[0], "header field") for t in head[3:6])
+    _check_counts(head[0], universe=universe, sets=nsets)
     _check_declared(rows, nsets, "sets")
     family: list[frozenset[int] | None] = [None] * nsets
     for row in rows[1:]:

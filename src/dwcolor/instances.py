@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fpt import DualInstance
 from .graph import WeightedGraph, build_graph, is_clique, is_stable, is_universal
-from .kernel import compute_classes, kernel_size_limit, kernelize
+from .kernel import check_bound_bits, compute_classes, kernel_size_limit, kernelize
 from .matching import maximum_antimatching
 
 
@@ -213,6 +213,7 @@ class IntervalAuditReport:
 
 
 def interval_kernel_limit(k: int) -> int:
+    check_bound_bits(3 * k.bit_length(), f"interval kernel bound for k={k}")
     return k**3 - 2 * k**2 + 2 * k - 1
 
 
@@ -320,6 +321,7 @@ def reduce_setcover(sc: SetCoverInstance) -> DualInstance:
     if sc.budget > sc.universe:
         raise TrivialBudget(f"budget {sc.budget} > universe {sc.universe}")
     ns = len(sc.family)
+    _check_size(ns + sc.universe, f"universe={sc.universe} with {ns} sets")
     k = sc.universe
     ell = sc.budget
     edges = [(a, b) for a in range(ns) for b in range(a + 1, ns)]
@@ -366,6 +368,7 @@ def audit_split_bounds(inst: DualInstance, profile: SplitProfile) -> SplitAuditR
         raise PreconditionViolated("profile is not a split partition of the graph")
 
     exponent = max(profile.d, 2)
+    check_bound_bits(exponent * inst.k.bit_length(), f"split kernel bound k^{exponent}")
     trace = kernelize(inst)
     shortcut = trace.verdict_shortcut is not None
     size = trace.reduced.graph.n

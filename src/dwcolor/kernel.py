@@ -33,7 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
-from .errors import ClaimViolation, NonMaximalAntimatchingWitness, PreconditionViolated
+from .errors import (
+    ClaimViolation,
+    InstanceTooLarge,
+    NonMaximalAntimatchingWitness,
+    PreconditionViolated,
+)
 from .fpt import DualInstance
 from .graph import WeightedGraph, build_graph, induced_subgraph, is_universal
 from .matching import Antimatching, maximum_antimatching
@@ -41,9 +46,23 @@ from .matching import Antimatching, maximum_antimatching
 RULE_UNIVERSAL = "delete_universal"
 RULE_TRUNCATE = "truncate_class"
 
+# Widest size bound computed: far above any graph a file can hold, and its
+# decimal form stays below the 4300 digits Python converts to text. Without
+# it a header k of 10^5 makes a bound no JSON can print, and one of 10^23
+# makes 2^(k-1) take all memory.
+MAX_BOUND_BITS = 4096
+
+
+def check_bound_bits(bits: int, what: str) -> None:
+    """Raise :class:`InstanceTooLarge` for a bound of more than
+    ``MAX_BOUND_BITS`` bits, given an upper estimate of its width."""
+    if bits > MAX_BOUND_BITS:
+        raise InstanceTooLarge(f"{what} is wider than {MAX_BOUND_BITS} bits")
+
 
 def kernel_size_limit(k: int) -> int:
     """Vertex bound guaranteed for reduced instances with parameter k >= 2."""
+    check_bound_bits(k + (k - 1).bit_length(), f"kernel bound for k={k}")
     return (2 ** (k - 1) + 1) * (k - 1)
 
 

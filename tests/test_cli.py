@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import asdict
@@ -253,34 +254,9 @@ def test_audit_split_rejects_non_split(tmp_path, capsys):
     assert main(["audit", str(path), "--split"]) == 2
 
 
-def test_bench_csv_and_jobs_determinism(monkeypatch, capsys):
-    import dwcolor.cli as cli
-
-    # shrink the suite for test speed: same shape, tiny sizes
-    def tiny_cases(suite, seed):
-        return [
-            cli._BenchCase(suite, f"k={k}", 24, k, seed * 1000 + k) for k in (2, 3)
-        ]
-
-    monkeypatch.setattr(cli, "_bench_cases", tiny_cases)
-    assert main(["bench", "fpt-scaling", "--seed", "1"]) == 0
-    out1 = capsys.readouterr().out
-    assert main(["bench", "fpt-scaling", "--seed", "1", "--jobs", "2"]) == 0
-    out2 = capsys.readouterr().out
-
-    def strip_runtime(text):
-        rows = [line.split(",") for line in text.strip().splitlines()]
-        idx = rows[0].index("runtime_ms")
-        return [tuple(r[:idx] + r[idx + 1 :]) for r in rows]
-
-    assert strip_runtime(out1) == strip_runtime(out2)
-    header = out1.splitlines()[0]
-    assert header == "suite,case,n,m,k,antimatching_size,answer,sigma,runtime_ms"
-
-
 def test_cli_import_leaves_concurrent_futures_unloaded():
-    # only `bench --jobs > 1` needs a process pool; importing it at module
-    # level would cost resident memory in every process that imports the CLI
+    # no subcommand needs a process pool; importing one would cost resident
+    # memory in every process that imports the CLI
     proc = subprocess.run(
         [
             sys.executable,
@@ -293,3 +269,56 @@ def test_cli_import_leaves_concurrent_futures_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Inputs that once broke the exit-code contract: header k values whose
+# kernel bound has 10^5 bits or could not be computed in memory, a split
+# bound k^201 of 4600 digits, a set-cover universe of 300,000, negative
+# header counts, non-UTF-8 bytes, a missing file and a removed subcommand.
+HOSTILE = {
+    "k1e5.dwc": "p dwc 3 0 100000\nw 1 1\nw 2 1\nw 3 1\n",
+    "k1e23.dwc": f"p dwc 3 0 {10**23}\nw 1 1\nw 2 1\nw 3 1\n",
+    "split.dwc": f"p dwc 202 0 {10**23}\n" + "".join(f"w {v} 1\n" for v in range(1, 203)),
+    "wide.sc": "p setcover 300000 1 1\ns 1 1\n",
+    "neg.int": "p interval -2 1\n",
+    "neg.dwc": "p dwc -1 0 1\n",
+    "latin1.dwc": "p dwc 2 0 1\nw 1 \xff\n",
+}
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["kernelize", "k1e5.dwc"],
+        ["kernelize", "k1e23.dwc", "--emit-trace"],
+        ["solve", "k1e23.dwc", "--both"],
+        ["audit", "k1e5.dwc"],
+        ["audit", "split.dwc", "--split"],
+        ["generate", "setcover", "wide.sc"],
+        ["audit", "neg.int", "--interval"],
+        ["solve", "neg.dwc"],
+        ["kernelize", "latin1.dwc"],
+        ["solve", "missing.dwc"],
+        ["bench", "fpt-scaling"],
+    ],
+    ids=" ".join,
+)
+def test_exit_code_contract_on_hostile_inputs(tmp_path, args):
+    for name, text in HOSTILE.items():
+        (tmp_path / name).write_bytes(text.encode("latin-1"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dwcolor.cli", *args],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        cwd=tmp_path,
+        timeout=30,
+        preexec_fn=_limit_memory,  # 1 GiB of address space
+    )
+    # only solve answers "no" (exit 1); every other command succeeds or fails
+    assert proc.returncode in ((0, 1, 2) if args[0] == "solve" else (0, 2))
+    assert "Traceback" not in proc.stderr

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dwcolor import FormatError, build_graph
+from dwcolor import DwcError, FormatError, build_graph
 from dwcolor.formats import (
     detect_format,
     parse_dwc,
@@ -62,6 +62,10 @@ def test_dwc_errors():
     ]:
         with pytest.raises(FormatError):
             parse_dwc(text)
+    # a negative header count is refused on the header line itself
+    for text in ["p dwc -1 0 1\n", "c x\np dwc 2 -1 1\nw 1 1\nw 2 1\n"]:
+        with pytest.raises(FormatError, match=r"^line [12]: (n|m)=-1 must be >= 0"):
+            parse_dwc(text)
 
 
 INTERVAL = """p interval 3 2
@@ -88,6 +92,8 @@ def test_interval_errors():
         parse_interval("p interval 1 1\ni 1 0 1 0\n")
     with pytest.raises(FormatError):
         parse_interval("p interval 4611686018427387904 1\ni 1 0 1 1\n")
+    with pytest.raises(FormatError, match=r"^line 1: n=-2 must be >= 0"):
+        parse_interval("p interval -2 1\n")
 
 
 SETCOVER = """p setcover 2 3 1
@@ -113,6 +119,10 @@ def test_setcover_errors():
         parse_setcover("p setcover 2 2 1\ns 1 1\ns 1 2\n")
     with pytest.raises(FormatError):
         parse_setcover("p setcover 2 4611686018427387904 1\ns 1 1\n")
+    with pytest.raises(FormatError, match=r"^line 1: universe=-1 must be >= 0"):
+        parse_setcover("p setcover -1 1 1\ns 1 1\n")
+    with pytest.raises(FormatError, match=r"^line 1: sets=-1 must be >= 0"):
+        parse_setcover("p setcover 2 -1 1\n")
 
 
 def test_detect_format():
@@ -217,3 +227,90 @@ def test_setcover_round_trip_property(sc):
     text = serialize_setcover(sc)
     assert parse_setcover(text) == sc
     assert serialize_setcover(parse_setcover(text)) == text
+
+
+# ---- any text: a valid instance or a DwcError ----
+
+_FIELD = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from([str(10**23), str(-(10**23)), str(1 << 62), "9" * 4301]),
+    st.integers().map(str),
+)
+_TOKEN = st.one_of(st.integers(-1, 4).map(str), st.text(max_size=3))
+
+
+@st.composite
+def any_text(draw):
+    """Mostly a canonical file of one of the three formats, with one header
+    token swapped for another format's tag or a negative, zero or huge
+    integer, a body line dropped or a stray line added; sometimes arbitrary
+    text."""
+    kind = draw(st.sampled_from(["dwc", "interval", "setcover", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=60))
+    if kind == "dwc":
+        text = serialize_dwc(draw(dwc_cases())[0])
+    elif kind == "interval":
+        text = serialize_interval(*draw(interval_cases()))
+    else:
+        text = serialize_setcover(draw(setcover_cases()))
+    head, *body = text.splitlines()
+    head = head.split()
+    if draw(st.booleans()):
+        i = draw(st.integers(1, len(head) - 1))
+        head[i] = draw(_FIELD if i > 1 else st.sampled_from(["dwc", "interval", "setcover"]))
+    if body and draw(st.booleans()):
+        del body[draw(st.integers(0, len(body) - 1))]
+    if draw(st.booleans()):
+        stray = [draw(st.sampled_from("weisc")), *draw(st.lists(_TOKEN, max_size=5))]
+        body.insert(draw(st.integers(0, len(body))), " ".join(stray))
+    return "\n".join([" ".join(head), *body]) + "\n"
+
+
+def _header(text):
+    """The header's integer fields, read the way the parsers read them."""
+    for line in text.splitlines():
+        if line.strip() and not line.strip().startswith("c"):
+            return [int(t) for t in line.split()[2:]]
+
+
+def _dwc_fields(inst):
+    assert parse_dwc(serialize_dwc(inst)) == inst
+    return [inst.graph.n, inst.graph.m, inst.k]
+
+
+def _interval_fields(inst, rep):
+    assert inst == DualInstance(intervals_to_graph(rep), inst.k)
+    assert parse_interval(serialize_interval(rep, inst.k)) == (inst, rep)
+    return [rep.n, inst.k]
+
+
+def _setcover_fields(sc):
+    assert parse_setcover(serialize_setcover(sc)) == sc
+    return [sc.universe, len(sc.family), sc.budget]
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_text())
+@example("p interval -2 1\n")
+@example("p dwc -1 0 1\n")
+@example("p setcover 2 -1 1\n")
+@example("p dwc 3 0 100000\nw 1 1\nw 2 1\nw 3 1\n")
+def test_any_text_gives_an_instance_or_a_dwc_error(text):
+    # a returned instance is valid (it round-trips) and agrees with its header
+    parsers = {
+        "dwc": lambda: _dwc_fields(parse_dwc(text)),
+        "interval": lambda: _interval_fields(*parse_interval(text)),
+        "setcover": lambda: _setcover_fields(parse_setcover(text)),
+    }
+    try:
+        kind = detect_format(text)
+    except DwcError:
+        kind = None
+    for name, fields in parsers.items():
+        try:
+            assert fields() == _header(text)
+        except DwcError:
+            continue
+        assert kind == name
+

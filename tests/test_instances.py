@@ -452,3 +452,23 @@ def test_generators_capped_before_building():
         gen_tight_interval(14)
     with pytest.raises(InstanceTooLarge):
         random_instance(MAX_GENERATED_N + 1, 0.5, 1, 0)
+    # one vertex per set and per element: the universe alone may exceed the cap
+    sc = SetCoverInstance(MAX_GENERATED_N, (frozenset({0}),), 1)
+    with pytest.raises(InstanceTooLarge):
+        reduce_setcover(sc)
+    sc = SetCoverInstance(MAX_GENERATED_N - 1, (frozenset({0}),), 1)
+    assert reduce_setcover(sc).graph.n == MAX_GENERATED_N
+
+
+def test_audit_bounds_refuse_unprintable_widths():
+    # k^d with d = 201 and k = 10^23 has 4600 digits, more than JSON can print
+    n = 202
+    inst = DualInstance(build_graph(n, [], [1] * n), 10**23)
+    profile = split_partition(inst.graph)
+    assert profile is not None and profile.d == n - 1
+    with pytest.raises(InstanceTooLarge):
+        audit_split_bounds(inst, profile)
+    assert audit_split_bounds(DualInstance(inst.graph, 2), profile).exponent == n - 1
+    with pytest.raises(InstanceTooLarge):
+        interval_kernel_limit(10**1500)
+    assert interval_kernel_limit(10**400) == 10**1200 - 2 * 10**800 + 2 * 10**400 - 1

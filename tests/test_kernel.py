@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from dwcolor import (
+    InstanceTooLarge,
     NonMaximalAntimatchingWitness,
     build_graph,
     decide_dual_oracle,
@@ -16,6 +17,7 @@ from dwcolor.kernel import (
     audit_claims,
     canonical_no_instance,
     canonical_yes_instance,
+    MAX_BOUND_BITS,
     compute_classes,
     kernel_size_limit,
     kernelize,
@@ -138,6 +140,12 @@ def test_kernelize_edgeless_yes():
 
 def test_kernel_limit_values():
     assert [kernel_size_limit(k) for k in range(2, 7)] == [3, 10, 27, 68, 165]
+    # below the cap the bound is exact and prints; above it nothing is built
+    widest = kernel_size_limit(MAX_BOUND_BITS - 12)
+    assert widest.bit_length() <= MAX_BOUND_BITS and len(str(widest)) < 4300
+    for k in (MAX_BOUND_BITS, 100_000, 10**23):
+        with pytest.raises(InstanceTooLarge):
+            kernel_size_limit(k)
 
 
 def test_kernelize_properties_random():
