@@ -8,9 +8,11 @@ Three formats, all 1-indexed in files (the in-memory API is 0-indexed):
 * set-cover instances:  ``p setcover <universe> <sets> <ell>``, then one
   ``s <set-id> <elem>...`` line per set.
 
-``c <comment>`` lines and blank lines are ignored anywhere. Serializers emit
-a canonical form (sorted ids, no comments), so parse followed by serialize
-is the identity on canonical files.
+Blank lines and lines whose first token is ``c`` are comments, ignored
+anywhere. Every field but the tags (``p <format>``, ``w``, ``e``, ...) is an
+integer in ASCII decimal digits with an optional leading ``-``. Serializers
+emit a canonical form (sorted ids, no comments), so parse followed by
+serialize is the identity on canonical files.
 """
 
 from __future__ import annotations
@@ -20,62 +22,99 @@ from .fpt import DualInstance
 from .graph import build_graph, higher_neighbors
 from .instances import IntervalRepresentation, SetCoverInstance, intervals_to_graph
 
+# The problem line ``p <tag> <field>...`` of each format: its integer fields,
+# and those of them whose sum is the number of body lines. Every field but
+# the last is a count (>= 0); the last is the parameter (>= 1).
+_LAYOUTS = {
+    "dwc": (("n", "m", "k"), ("n", "m")),
+    "interval": (("n", "k"), ("n",)),
+    "setcover": (("universe", "sets", "ell"), ("sets",)),
+}
 
-def _tokens(text: str) -> list[list[str]]:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        rows.append([str(lineno)] + line.split())
-    return rows
+
+def _rows(text: str):
+    """Yield ``[line number, token, ...]`` for each line that is not a comment,
+    splitting the text in pieces that end at a newline and double in size, so
+    that a caller that stops early splits little past the row it stops at."""
+    start = lineno = 0
+    while start < len(text):
+        end = text.find("\n", 2 * start + 256) + 1 or len(text)
+        for lineno, raw in enumerate(text[start:end].splitlines(), lineno + 1):
+            toks = raw.split()
+            if toks and toks[0] != "c":
+                yield [str(lineno)] + toks
+        start = end
 
 
-def _int(tok: str, lineno: str, what: str) -> int:
+def _check_integers(text: str, rows: list[list[str]]) -> None:
+    """Reject a field that is not ASCII decimal with an optional leading '-'.
+    On ASCII text without '+' or '_', ``int`` accepts exactly those, so only
+    other texts get a look at every field after the tags."""
+    if text.isascii() and "+" not in text and "_" not in text:
+        return
+    for row in rows:
+        for tok in row[3 if row[1] == "p" else 2:]:
+            if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+                raise FormatError(f"line {row[0]}: field {tok!r} is not an integer")
+
+
+def _int(tok: str, lineno: str, what: str, low: int | None = None) -> int:
     try:
-        return int(tok)
+        value = int(tok)
     except ValueError:
         raise FormatError(f"line {lineno}: {what} {tok!r} is not an integer") from None
-
-
-def _check_counts(lineno: str, **counts: int) -> None:
-    """Reject a negative count in the header on line ``lineno``."""
-    for name, value in counts.items():
-        if value < 0:
-            raise FormatError(f"line {lineno}: {name}={value} must be >= 0")
-
-
-def _check_declared(rows: list[list[str]], count: int, what: str) -> None:
-    """Reject a header declaring more items than there are body lines, before
-    anything is allocated per item."""
-    if count > len(rows) - 1:
-        raise FormatError(
-            f"line {rows[0][0]}: {count} {what} declared, {len(rows) - 1} lines follow"
-        )
+    if low is not None and value < low:
+        raise FormatError(f"line {lineno}: {what}={value} must be >= {low}")
+    return value
 
 
 def detect_format(text: str) -> str:
-    rows = _tokens(text)
-    if not rows or rows[0][1] != "p" or len(rows[0]) < 3:
+    """The problem line's format tag, read without tokenizing the lines after it."""
+    head = next(_rows(text), None)
+    if head is None or head[1] != "p":
         raise FormatError("missing problem line")
-    kind = rows[0][2]
-    if kind not in ("dwc", "interval", "setcover"):
-        raise FormatError(f"unknown format {kind!r}")
+    kind = "".join(head[2:3])
+    if kind not in _LAYOUTS:
+        raise FormatError(f"line {head[0]}: unknown format {kind!r}")
     return kind
 
 
+def _read(text: str, tag: str) -> tuple[list[list[str]], list[int]]:
+    """The rows of a ``tag`` file and its problem line's fields, checked
+    (down to the count of body lines) before anything is allocated."""
+    rows = list(_rows(text))
+    _check_integers(text, rows)
+    names, body = _LAYOUTS[tag]
+    if detect_format(text) != tag or len(rows[0]) != 3 + len(names):
+        layout = " ".join(f"<{name}>" for name in names)
+        raise FormatError(f"line {rows[0][0]}: expected 'p {tag} {layout}'")
+    lineno = rows[0][0]
+    lows = [0] * (len(names) - 1) + [1]
+    fields = [_int(t, lineno, name, low) for t, name, low in zip(rows[0][3:], names, lows)]
+    declared = sum(v for name, v in zip(names, fields) if name in body)
+    if declared > len(rows) - 1:
+        raise FormatError(
+            f"line {lineno}: {declared} body lines declared, {len(rows) - 1} follow"
+        )
+    return rows, fields
+
+
+def _slot(filled: list, row: list[str], what: str) -> int:
+    """The 0-based slot of the numbered line ``<tag> <id> ...`` in ``row``:
+    its id lies in 1..len(filled) and no earlier line filled it. As the
+    problem line declares no more body lines than follow, a body of numbered
+    lines that all pass this misses no id."""
+    lineno = row[0]
+    i = _int(row[2], lineno, what) - 1
+    if not 0 <= i < len(filled):
+        raise FormatError(f"line {lineno}: {what} {i + 1} not in 1..{len(filled)}")
+    if filled[i] is not None:
+        raise FormatError(f"line {lineno}: duplicate {row[1]} line for {what} {i + 1}")
+    return i
+
+
 def parse_dwc(text: str) -> DualInstance:
-    rows = _tokens(text)
-    if not rows or rows[0][1] != "p":
-        raise FormatError("missing problem line")
-    head = rows[0]
-    if len(head) != 6 or head[2] != "dwc":
-        raise FormatError(f"line {head[0]}: expected 'p dwc <n> <m> <k>'")
-    n, m, k = (_int(t, head[0], "header field") for t in head[3:6])
-    _check_counts(head[0], n=n, m=m)
-    if k < 1:
-        raise FormatError(f"line {head[0]}: parameter k={k} must be >= 1")
-    _check_declared(rows, n, "vertices")
+    rows, (n, m, k) = _read(text, "dwc")
     weights: list[int | None] = [None] * n
     edges: list[tuple[int, int]] = []
     for row in rows[1:]:
@@ -83,15 +122,8 @@ def parse_dwc(text: str) -> DualInstance:
         if tag == "w":
             if len(row) != 4:
                 raise FormatError(f"line {lineno}: expected 'w <v> <weight>'")
-            v = _int(row[2], lineno, "vertex")
-            w = _int(row[3], lineno, "weight")
-            if not 1 <= v <= n:
-                raise FormatError(f"line {lineno}: vertex {v} not in 1..{n}")
-            if weights[v - 1] is not None:
-                raise FormatError(f"line {lineno}: duplicate weight for vertex {v}")
-            if w < 1:
-                raise FormatError(f"line {lineno}: weight {w} must be >= 1")
-            weights[v - 1] = w
+            v = _slot(weights, row, "vertex")
+            weights[v] = _int(row[3], lineno, "weight", 1)
         elif tag == "e":
             if len(row) != 4:
                 raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
@@ -102,10 +134,10 @@ def parse_dwc(text: str) -> DualInstance:
             edges.append((u - 1, v - 1))
         else:
             raise FormatError(f"line {lineno}: unexpected directive {tag!r}")
-    if any(w is None for w in weights):
-        raise FormatError(f"expected {n} weight lines, got {sum(w is not None for w in weights)}")
+    # n + m body lines or more: m edge lines leave a weight line per vertex
     if len(edges) != m:
-        raise FormatError(f"expected {m} edge lines, got {len(edges)}")
+        got = f"{len(rows) - 1 - len(edges)} and {len(edges)}"
+        raise FormatError(f"expected {n} weight and {m} edge lines, got {got}")
     if len(set(edges)) != len(edges):
         raise FormatError("duplicate edge line")
     return DualInstance(build_graph(n, edges, weights), k)
@@ -126,39 +158,20 @@ def serialize_dwc(inst: DualInstance) -> str:
 
 
 def parse_interval(text: str) -> tuple[DualInstance, IntervalRepresentation]:
-    rows = _tokens(text)
-    if not rows or rows[0][1] != "p":
-        raise FormatError("missing problem line")
-    head = rows[0]
-    if len(head) != 5 or head[2] != "interval":
-        raise FormatError(f"line {head[0]}: expected 'p interval <n> <k>'")
-    n, k = (_int(t, head[0], "header field") for t in head[3:5])
-    _check_counts(head[0], n=n)
-    if k < 1:
-        raise FormatError(f"line {head[0]}: parameter k={k} must be >= 1")
-    _check_declared(rows, n, "intervals")
+    rows, (n, k) = _read(text, "interval")
     ivs: list[tuple[int, int] | None] = [None] * n
     weights: list[int] = [0] * n
     for row in rows[1:]:
-        lineno, tag = row[0], row[1]
-        if tag != "i" or len(row) != 6:
+        lineno = row[0]
+        if row[1] != "i" or len(row) != 6:
             raise FormatError(f"line {lineno}: expected 'i <v> <left> <right> <weight>'")
-        v = _int(row[2], lineno, "vertex")
+        v = _slot(ivs, row, "vertex")
         left = _int(row[3], lineno, "endpoint")
         right = _int(row[4], lineno, "endpoint")
-        w = _int(row[5], lineno, "weight")
-        if not 1 <= v <= n:
-            raise FormatError(f"line {lineno}: vertex {v} not in 1..{n}")
-        if ivs[v - 1] is not None:
-            raise FormatError(f"line {lineno}: duplicate interval for vertex {v}")
         if left > right:
             raise FormatError(f"line {lineno}: interval [{left},{right}] is empty")
-        if w < 1:
-            raise FormatError(f"line {lineno}: weight {w} must be >= 1")
-        ivs[v - 1] = (left, right)
-        weights[v - 1] = w
-    if any(iv is None for iv in ivs):
-        raise FormatError(f"expected {n} interval lines")
+        ivs[v] = (left, right)
+        weights[v] = _int(row[5], lineno, "weight", 1)
     rep = IntervalRepresentation(tuple(ivs), tuple(weights))
     return DualInstance(intervals_to_graph(rep), k), rep
 
@@ -173,34 +186,20 @@ def serialize_interval(rep: IntervalRepresentation, k: int) -> str:
 
 
 def parse_setcover(text: str) -> SetCoverInstance:
-    rows = _tokens(text)
-    if not rows or rows[0][1] != "p":
-        raise FormatError("missing problem line")
-    head = rows[0]
-    if len(head) != 6 or head[2] != "setcover":
-        raise FormatError(f"line {head[0]}: expected 'p setcover <universe> <sets> <ell>'")
-    universe, nsets, ell = (_int(t, head[0], "header field") for t in head[3:6])
-    _check_counts(head[0], universe=universe, sets=nsets)
-    _check_declared(rows, nsets, "sets")
+    rows, (universe, nsets, ell) = _read(text, "setcover")
     family: list[frozenset[int] | None] = [None] * nsets
     for row in rows[1:]:
-        lineno, tag = row[0], row[1]
-        if tag != "s" or len(row) < 4:
+        lineno = row[0]
+        if row[1] != "s" or len(row) < 4:
             raise FormatError(f"line {lineno}: expected 's <set-id> <elem>...'")
-        sid = _int(row[2], lineno, "set id")
-        if not 1 <= sid <= nsets:
-            raise FormatError(f"line {lineno}: set id {sid} not in 1..{nsets}")
-        if family[sid - 1] is not None:
-            raise FormatError(f"line {lineno}: duplicate set id {sid}")
+        sid = _slot(family, row, "set id")
         elems = set()
         for t in row[3:]:
             e = _int(t, lineno, "element")
             if not 1 <= e <= universe:
                 raise FormatError(f"line {lineno}: element {e} not in 1..{universe}")
             elems.add(e - 1)
-        family[sid - 1] = frozenset(elems)
-    if any(s is None for s in family):
-        raise FormatError(f"expected {nsets} set lines")
+        family[sid] = frozenset(elems)
     return SetCoverInstance(universe, tuple(family), ell)
 
 

@@ -121,14 +121,15 @@ def build_dp(
 ) -> DPTable:
     """Fill the assignment tables; requires ``m`` to be a maximum antimatching.
 
-    The uncovered vertices must induce a clique, which is checked, and at
-    most ``MAX_TABLE_BITS`` vertices may be covered (``InstanceTooLarge``
-    otherwise, before anything is allocated). In any proper coloring each
-    clique color absorbs a stable set of its vertex's covered
-    non-neighbours and fresh classes cover the rest, so sigma is the least
-    ``absorb[U] + fresh[covered - U]`` over the subsets U of D. Work is at
-    most 3^t/2 submask visits for ``fresh`` plus 3^d per absorber, for t
-    covered vertices and the d of them in D.
+    The uncovered vertices must induce a clique, which is checked. At most
+    ``MAX_TABLE_BITS`` vertices may be covered, and the absorbers' 2^d-entry
+    parent arrays may hold at most 2^``MAX_TABLE_BITS`` entries together
+    (``InstanceTooLarge`` otherwise, before any table is allocated). In any
+    proper coloring each clique color absorbs a stable set of its vertex's
+    covered non-neighbours and fresh classes cover the rest, so sigma is the
+    least ``absorb[U] + fresh[covered - U]`` over the subsets U of D. Work
+    is at most 3^t/2 submask visits for ``fresh`` plus 3^d per absorber,
+    for t covered vertices and the d of them in D.
     """
     ground = tuple(sorted(m.vertices))
     t = len(ground)
@@ -149,6 +150,23 @@ def build_dp(
     # non-neighbours of each clique vertex
     def nonadjacent(a: int) -> int:
         return sum(1 << j for j, u in enumerate(ground) if not a >> u & 1)
+
+    # clique vertices without a covered non-neighbour stay singletons, already
+    # paid for in base, and get no absorb layer
+    absorbers = []
+    allowed = []
+    reach = 0
+    for v in clique:
+        mask = nonadjacent(g.adjacency[v])
+        if mask:
+            absorbers.append(v)
+            allowed.append(mask)
+            reach |= mask
+    dbits = tuple(j for j in range(t) if reach >> j & 1)
+    if len(absorbers) << len(dbits) > 1 << MAX_TABLE_BITS:
+        raise InstanceTooLarge(
+            f"{len(absorbers)} absorb tables over {len(dbits)} vertices exceed cap"
+        )
 
     conflict = [full ^ nonadjacent(g.adjacency[v]) for v in ground]
     wg = [w[v] for v in ground]
@@ -192,18 +210,7 @@ def build_dp(
         fresh[x] = best
         fresh_parents[x] = best_s
 
-    # absorb: clique vertices without a covered non-neighbour stay singletons,
-    # already paid for in base, and get no layer
-    absorbers = []
-    allowed = []
-    reach = 0
-    for v in clique:
-        mask = nonadjacent(g.adjacency[v])
-        if mask:
-            absorbers.append(v)
-            allowed.append(mask)
-            reach |= mask
-    dbits = tuple(j for j in range(t) if reach >> j & 1)
+    # absorb: one layer per absorber over the 2^d subsets of D
     dsize = 1 << len(dbits)
     spread = [0] * dsize  # ground mask of each local mask
     for u in range(1, dsize):

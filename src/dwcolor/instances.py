@@ -413,33 +413,24 @@ def gen_tight_general(k: int) -> DualInstance:
     # the size grows with k; evaluating it at most at k = 64 keeps a huge k cheap
     _check_size(kernel_size_limit(min(k, 64)), f"k={k}")
     t = k - 1
-    missing = [2 * j for j in range(t)]
-    ground = list(range(2 * t))
-    edges = [
-        (u, v)
-        for u, v in itertools.combinations(ground, 2)
-        if not (u % 2 == 0 and v == u + 1)
-    ]
-    clique_start = 2 * t
-    group_of: list[tuple[int, int]] = []  # (first id, subset mask) per group
-    vid = clique_start
+    n = 2 * t + ((1 << t) - 1) * t
+    missing = [0] * n  # non-neighbour mask per vertex
+    for j in range(t):
+        missing[2 * j] = 1 << (2 * j + 1)
+        missing[2 * j + 1] = 1 << (2 * j)
+    first = 2 * t
     for mask in range(1, 1 << t):
-        group_of.append((vid, mask))
-        vid += t
-    n = vid
-    for first, mask in group_of:
-        members = range(first, first + t)
-        edges.extend(itertools.combinations(members, 2))
-        omitted = {missing[j] for j in range(t) if mask >> j & 1}
-        for u in members:
-            for x in ground:
-                if x not in omitted:
-                    edges.append((min(u, x), max(u, x)))
-    for (f1, _), (f2, _) in itertools.combinations(group_of, 2):
-        for u in range(f1, f1 + t):
-            for v in range(f2, f2 + t):
-                edges.append((u, v))
-    g = build_graph(n, edges, [1] * n)
+        members = ((1 << t) - 1) << first
+        blind = 0  # the group's missing vertices
+        for j in range(t):
+            if mask >> j & 1:
+                blind |= 1 << (2 * j)
+                missing[2 * j] |= members
+        missing[first : first + t] = [blind] * t
+        first += t
+    full = (1 << n) - 1
+    adj = tuple(full ^ (m | 1 << v) for v, m in enumerate(missing))
+    g = WeightedGraph(n, adj, (1,) * n)
 
     # construction self-checks
     _require(g.n == kernel_size_limit(k), "tight_size")

@@ -134,3 +134,28 @@ def all_antimatchings_bruteforce(g: WeightedGraph) -> int:
         return best
 
     return grow(0, set())
+
+
+def absorb_heavy_graph() -> WeightedGraph:
+    """Unit-weight graph on 627 vertices whose maximum antimatching covers
+    t = 22 vertices, the table's width cap, while 605 clique vertices have
+    covered non-neighbours among d = 16 of them: 605 absorb layers of 2^16.
+
+    Built from its non-edges: five special pairs (0-14, every third vertex a
+    singleton blind to both ends of its pair), six normal pairs (15-26), and
+    600 clique vertices, each missing one normal pair's lower end.
+    """
+    n = 627
+    nonedges = []
+    for i in range(5):
+        a, b, s = 3 * i, 3 * i + 1, 3 * i + 2
+        nonedges += [(a, b), (a, s), (b, s)]
+    nonedges += [(15 + 2 * j, 16 + 2 * j) for j in range(6)]
+    nonedges += [(15 + 2 * (u % 6), u) for u in range(27, n)]
+    missing = [0] * n
+    for u, v in nonedges:
+        missing[u] |= 1 << v
+        missing[v] |= 1 << u
+    full = (1 << n) - 1
+    adj = tuple(full ^ (m | 1 << v) for v, m in enumerate(missing))
+    return WeightedGraph(n, adj, (1,) * n)

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import resource
@@ -7,13 +10,16 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dwcolor
 from dwcolor.cli import main
 from dwcolor.formats import parse_dwc, serialize_dwc
 from dwcolor.fpt import DualInstance
 from dwcolor.kernel import kernelize
-from conftest import complete_graph
+from dwcolor.graph import build_graph
+from conftest import absorb_heavy_graph, complete_graph
 
 P3 = "p dwc 3 2 1\nw 1 1\nw 2 2\nw 3 1\ne 1 2\ne 2 3\n"
 K2 = "p dwc 2 1 1\nw 1 3\nw 2 5\ne 1 2\n"
@@ -112,6 +118,59 @@ def test_solve_table_too_wide_exit_two(tmp_path):
     proc = run_cli(["solve", str(path)])
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_solve_absorb_tables_too_large_exit_two(tmp_path):
+    # within the fresh table's width, but 605 absorb layers of 2^16 entries
+    path = tmp_path / "absorb.dwc"
+    path.write_text(serialize_dwc(DualInstance(absorb_heavy_graph(), 12)))
+    proc = run_cli(["solve", str(path)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@st.composite
+def small_files(draw):
+    """A .dwc file on at most 10 vertices, from edgeless to complete, with
+    weights 1..5 and k in 1..6."""
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    kind = draw(st.sampled_from(["edgeless", "any", "complete"]))
+    if kind == "any":
+        edges = [e for e in pairs if draw(st.booleans())]
+    else:
+        edges = pairs if kind == "complete" else []
+    weights = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    return serialize_dwc(DualInstance(build_graph(n, edges, weights), draw(st.integers(1, 6))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_files())
+def test_certificate_valid_through_cli_json(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cert") / "g.dwc"
+    path.write_text(text)
+    g = parse_dwc(text).graph
+    for mode in ([], ["--both"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["solve", str(path), "--emit-certificate", *mode])
+        ans = json.loads(out.getvalue())
+        assert code == {"yes": 0, "no": 1}[ans["answer"]]
+        cert = ans["certificate"]
+        if cert is None:  # k >= weight_sum: answered no without a coloring
+            assert ans["answer"] == "no" and ans["k"] >= ans["weight_sum"]
+            continue
+        assert sorted(v for cls in cert for v in cls) == list(range(1, g.n + 1))
+        assert not any(
+            g.has_edge(u - 1, v - 1) for cls in cert for u, v in itertools.combinations(cls, 2)
+        )
+        weight = sum(max(g.weights[v - 1] for v in cls) for cls in cert)
+        if mode:
+            assert weight >= ans["sigma"]
+        elif ans["sigma"] is not None:
+            assert weight == ans["sigma"]
+        if ans["answer"] == "yes":
+            assert weight <= ans["weight_sum"] - ans["k"]
 
 
 def test_missing_file_exit_two(capsys):

@@ -270,8 +270,9 @@ def any_text(draw):
 def _header(text):
     """The header's integer fields, read the way the parsers read them."""
     for line in text.splitlines():
-        if line.strip() and not line.strip().startswith("c"):
-            return [int(t) for t in line.split()[2:]]
+        toks = line.split()
+        if toks and toks[0] != "c":
+            return [int(t) for t in toks[2:]]
 
 
 def _dwc_fields(inst):
@@ -314,3 +315,58 @@ def test_any_text_gives_an_instance_or_a_dwc_error(text):
             continue
         assert kind == name
 
+
+
+# ---- the comment and integer rules, the same for every format ----
+
+# per format: its parser, a file whose body integers are {} slots, plain
+# values for them, the same values spelt as int() also reads them, and a
+# misspelt directive that starts with "c" with the error it must raise
+RULE_FILES = {
+    "dwc": (
+        parse_dwc,
+        "p dwc 2 1 1\nw 1 {}\nw 2 {}\ne {} {}\n",
+        ["1000", "7", "1", "2"],
+        ["1_000", "+7", "١", "٢"],
+        "p dwc 2 0 1\nw 1 1\nw 2 1\ncontinue here e 1 2\n",
+        r"^line 4: unexpected directive 'continue'",
+    ),
+    "interval": (
+        parse_interval,
+        "p interval 2 1\ni 1 {} 5 1\ni 2 {} 9 {}\n",
+        ["-1000", "7", "1"],
+        ["-1_000", "+7", "١"],
+        "p interval 1 1\ni 1 0 1 1\ncontinue here i 1 0 1 1\n",
+        r"^line 3: expected 'i ",
+    ),
+    "setcover": (
+        parse_setcover,
+        "p setcover 2 2 1\ns 1 {} {}\ns 2 {}\n",
+        ["1", "2", "2"],
+        ["0_1", "+2", "٢"],
+        "p setcover 1 1 1\ns 1 1\ncover s 1 1\n",
+        r"^line 3: expected 's ",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RULE_FILES))
+def test_comment_and_integer_rules(kind):
+    parse, template, plain, lax, directive, message = RULE_FILES[kind]
+    text = template.format(*plain)
+    expected = parse(text)
+    # a comment line's first token is c, alone or followed by a tab; a
+    # non-ASCII comment sends the file through the closer integer check
+    head, *body = text.splitlines(keepends=True)
+    commented = "c ٢ +7\n" + head + "c\n" + "".join(line + "c\tnote\n" for line in body)
+    assert parse(commented) == expected
+    with pytest.raises(FormatError, match=message):
+        parse(directive)
+    # only ASCII decimal digits with an optional leading '-' make an integer
+    slot_lines = [part.count("\n") + 1 for part in itertools.accumulate(template.split("{}"))]
+    for i, tok in enumerate(lax):
+        fields = plain[:i] + [tok] + plain[i + 1 :]
+        with pytest.raises(FormatError, match=rf"^line {slot_lines[i]}: "):
+            parse(template.format(*fields))
+    with pytest.raises(FormatError, match=r"^line 2: "):
+        parse(template.format(*lax))

@@ -25,7 +25,7 @@ from dwcolor.fpt import (
 )
 from dwcolor.instances import bench_instance
 from dwcolor.matching import Antimatching, maximum_antimatching
-from conftest import complete_graph, path_graph, random_graph
+from conftest import absorb_heavy_graph, complete_graph, path_graph, random_graph
 
 
 def test_instance_validation():
@@ -160,6 +160,30 @@ def test_table_too_wide_raises_before_allocating():
     assert peak < 1 << 20
     with pytest.raises(InstanceTooLarge):
         solve_dual(DualInstance(g, 31))
+
+
+def test_absorb_tables_bounded_before_allocating():
+    # t = 22 is within the fresh table's cap, but 605 absorb layers over
+    # 2^16 subsets each would take 151 MiB of parents
+    g = absorb_heavy_graph()
+    am = maximum_antimatching(g)
+    assert 2 * am.size == MAX_TABLE_BITS
+    covered = am.covered_mask
+    blind = [covered & ~g.adjacency[v] for v in am.residual_clique]
+    reach = 0
+    for mask in blind:
+        reach |= mask
+    assert sum(1 for mask in blind if mask) == 605 and reach.bit_count() == 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLarge):
+            build_dp(g, am)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(InstanceTooLarge):
+        solve_dual(DualInstance(g, 12))
 
 
 @st.composite

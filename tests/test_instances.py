@@ -404,12 +404,18 @@ SEEDED_DIGESTS = [
     ("random", (25, 1.0, 2, 5), "31700cbd01e070d7915aa81a476eba77c4f58392b3a73962736f9a9bddd55d53"),
     ("random", (120, 0.98, 5, 9), "8c39723d91f80863c040a4e0b7693f0e4def71c3262b5adcb08d4e4f308a5897"),
     ("random", (17, 0.5, 2, 8, 9), "48fd87cd2d9b9c97c8f8620b1c30d9f2d8652a4ac8686f12664649f784fac567"),
+    ("tight", (2,), "2963fcf24dbd06cb20bf6c248fa492331e72ba9f26d63b2ed7031b36b9adf0bb"),
+    ("tight", (3,), "c6cc60113261c96878a068beb5453ddb805c1a31ed2f11a03bfff1f276072da1"),
+    ("tight", (4,), "dd527bc677844fe6cd4c5cb4e98c6e592d87b9b8a548ceb8b4fde1a32f0493fd"),
+    ("tight", (5,), "582993c5c1b8b82e7527d38cb45b3c810cd59ba83db65bad1de0e520724f2a2c"),
+    ("tight", (6,), "f5a964bff4448ff2a3fa7813a61cc4100066d1f54f20b82c6e0d761898d93f82"),
 ]
+SEEDED = {"bench": bench_instance, "random": random_instance, "tight": gen_tight_general}
 
 
 @pytest.mark.parametrize("kind,args,digest", SEEDED_DIGESTS)
 def test_seeded_generators_are_pinned(kind, args, digest):
-    inst = (bench_instance if kind == "bench" else random_instance)(*args)
+    inst = SEEDED[kind](*args)
     text = serialize_dwc(inst)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     # the generators fill the adjacency rows directly; rebuilding from the
