@@ -35,10 +35,9 @@ from .graph import (
     is_stable,
     is_universal,
 )
-from .matching import Antimatching, is_valid_antimatching, maximum_antimatching, maximum_matching
+from .matching import Antimatching, maximum_antimatching, maximum_matching
 from .oracle import (
     decide_dual_oracle,
-    maximum_matching_bruteforce,
     sigma_exact,
     sigma_exact_bounded,
 )
@@ -83,10 +82,7 @@ from .instances import (
     intervals_to_graph,
     maximal_cliques_ordered,
     random_instance,
-    random_interval_instance,
-    random_split_instance,
     reduce_setcover,
-    setcover_bruteforce,
     split_partition,
     vertex_clique_spans,
 )
@@ -101,11 +97,9 @@ __all__ = [
     "Coloring", "WeightedGraph", "build_graph", "coloring_weight", "complement",
     "induced_subgraph", "is_clique", "is_proper", "is_stable", "is_universal",
     # matching
-    "Antimatching", "is_valid_antimatching", "maximum_antimatching",
-    "maximum_matching",
+    "Antimatching", "maximum_antimatching", "maximum_matching",
     # oracle
-    "decide_dual_oracle", "maximum_matching_bruteforce", "sigma_exact",
-    "sigma_exact_bounded",
+    "decide_dual_oracle", "sigma_exact", "sigma_exact_bounded",
     # fpt
     "DPTable", "DualAnswer", "DualInstance", "SolveStats", "build_dp",
     "extract_certificate", "shortcut_certificate", "solve_dual",
@@ -119,7 +113,6 @@ __all__ = [
     "SplitAuditReport", "SplitProfile", "audit_interval_bounds",
     "audit_split_bounds", "bench_instance", "gen_tight_general",
     "gen_tight_interval", "interval_kernel_limit", "intervals_to_graph",
-    "maximal_cliques_ordered", "random_instance", "random_interval_instance",
-    "random_split_instance", "reduce_setcover", "setcover_bruteforce",
+    "maximal_cliques_ordered", "random_instance", "reduce_setcover",
     "split_partition", "vertex_clique_spans",
 ]

@@ -17,8 +17,8 @@ import time
 from dataclasses import asdict, replace
 from typing import Iterable
 
-from .errors import DwcError, FormatError
-from .fpt import DualAnswer, SolveStats, solve_dual
+from .errors import ClaimViolation, DwcError, FormatError, InvalidColoring
+from .fpt import DualAnswer, DualInstance, SolveStats, solve_dual
 from .formats import (
     detect_format,
     parse_dwc,
@@ -27,7 +27,7 @@ from .formats import (
     serialize_dwc,
     serialize_interval,
 )
-from .graph import Coloring
+from .graph import Coloring, coloring_weight, is_proper
 from .instances import (
     audit_interval_bounds,
     audit_split_bounds,
@@ -72,6 +72,27 @@ def _read(path: str) -> str:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _check_certificate(inst: DualInstance, ans: DualAnswer) -> None:
+    """Raise :class:`ClaimViolation` unless the answer's certificate is a
+    proper coloring whose weight is its sigma, when known, and at most
+    ``weight_sum - k`` on a yes."""
+    g, c = inst.graph, ans.certificate
+    try:
+        proper = is_proper(g, c)
+    except InvalidColoring as exc:
+        raise ClaimViolation("certificate", str(exc)) from None
+    weight = coloring_weight(g, c)
+    if not proper:
+        problem = "a color class is not stable"
+    elif ans.sigma is not None and weight != ans.sigma:
+        problem = f"weight {weight} differs from sigma {ans.sigma}"
+    elif ans.verdict and weight > inst.threshold:
+        problem = f"weight {weight} exceeds weight_sum - k = {inst.threshold}"
+    else:
+        return
+    raise ClaimViolation("certificate", problem)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_dwc(_read(args.path))
     g = inst.graph
@@ -85,14 +106,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
         ans = DualAnswer(verdict, sigma, None, stats)
     else:
         ans = solve_dual(inst)
+    # the time of every engine the mode ran: under --both, the oracle's and the table's
+    ms = round((time.perf_counter() - start) * 1000.0, 3)
+    # checked against the solver's own sigma, before --both puts the oracle's in
+    if args.emit_certificate and ans.certificate is not None:
+        _check_certificate(inst, ans)
     if args.both:
         if ans.verdict != verdict:
             return _fail(
                 f"solver disagreement: oracle says {verdict}, table says {ans.verdict}"
             )
         ans = replace(ans, sigma=sigma)
-    # the time of every engine the mode ran: under --both, the oracle's and the table's
-    ms = round((time.perf_counter() - start) * 1000.0, 3)
     payload = {
         "answer": _yes_no(ans.verdict),
         "sigma": ans.sigma,

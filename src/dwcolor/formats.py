@@ -8,6 +8,7 @@ Three formats, all 1-indexed in files (the in-memory API is 0-indexed):
 * set-cover instances:  ``p setcover <universe> <sets> <ell>``, then one
   ``s <set-id> <elem>...`` line per set.
 
+A file holds printable ASCII, tabs, carriage returns and newlines only.
 Blank lines and lines whose first token is ``c`` are comments, ignored
 anywhere. Every field but the tags (``p <format>``, ``w``, ``e``, ...) is an
 integer in ASCII decimal digits with an optional leading ``-``. Serializers
@@ -16,6 +17,8 @@ serialize is the identity on canonical files.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import FormatError
 from .fpt import DualInstance
@@ -31,6 +34,9 @@ _LAYOUTS = {
     "setcover": (("universe", "sets", "ell"), ("sets",)),
 }
 
+# the bytes a file may hold: printable ASCII, tab, CR and LF
+_ALLOWED = bytes(range(0x20, 0x7F)) + b"\t\r\n"
+
 
 def _rows(text: str):
     """Yield ``[line number, token, ...]`` for each line that is not a comment,
@@ -44,6 +50,17 @@ def _rows(text: str):
             if toks and toks[0] != "c":
                 yield [str(lineno)] + toks
         start = end
+
+
+def _check_characters(text: str) -> None:
+    """Reject any character but printable ASCII, tab, CR and LF, so that no
+    Unicode or control whitespace can split fields or lines. The text is
+    checked in one pass; the offending line is looked for only on failure."""
+    if text.isascii() and not text.encode().translate(None, _ALLOWED):
+        return
+    bad = re.search(r"[^ -~\t\r\n]", text)
+    lineno = text.count("\n", 0, bad.start()) + 1
+    raise FormatError(f"line {lineno}: character {bad.group()!r} is not allowed")
 
 
 def _check_integers(text: str, rows: list[list[str]]) -> None:
@@ -84,6 +101,7 @@ def _read(text: str, tag: str) -> tuple[list[list[str]], list[int]]:
     (down to the count of body lines) before anything is allocated."""
     rows = list(_rows(text))
     _check_integers(text, rows)
+    _check_characters(text)
     names, body = _LAYOUTS[tag]
     if detect_format(text) != tag or len(rows[0]) != 3 + len(names):
         layout = " ".join(f"<{name}>" for name in names)

@@ -13,11 +13,12 @@ fresh classes cover, and the two costs add:
 
     sigma(G, w) = min over U of D: absorb[U] + fresh[covered - U]
 
-``fresh`` is a table over the 2^t subsets of the covered vertices (about
-3^t/2 submask visits at worst, far fewer on dense grounds); ``absorb`` is
-a table over the 2^d subsets of D, one layer per clique vertex with a
-covered non-neighbour (at most 3^d visits each). Both stay within the
-9^k bound, since d <= t = 2(k-1).
+Both tables index the covered vertices by one bit order, D first, so a
+subset of D is just a mask below 2^d. ``fresh`` is a table over the 2^t
+subsets of the covered vertices (about 3^t/2 submask visits at worst, far
+fewer on dense grounds); ``absorb`` is a table over the first 2^d of them,
+one layer per clique vertex with a covered non-neighbour (at most 3^d
+visits each). Both stay within the 9^k bound, since d <= t = 2(k-1).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, PreconditionViolated
-from .graph import Coloring, WeightedGraph, is_clique
+from .graph import Coloring, WeightedGraph, bits, is_clique
 from .matching import Antimatching, maximum_antimatching
 
 # Widest table build_dp allocates: 2^22 states, the oracle's default cap.
@@ -72,29 +73,27 @@ class DualAnswer:
 class DPTable:
     """Filled tables of the clique-color assignment program.
 
-    ``ground`` lists the antimatching-covered vertices (bit j of a ground
-    mask stands for ``ground[j]``); ``clique_order`` lists the residual
-    clique. ``fresh[X]`` is ``base`` (the clique colors as singletons) plus
-    the cheapest cover of X by classes without clique vertices;
-    ``fresh_parents[X]`` is the class that covers X's lowest vertex.
+    ``ground`` lists the antimatching-covered vertices, those of D first and
+    then the rest, each part ascending; bit j of a mask stands for
+    ``ground[j]``, so the subsets of D are the masks below ``len(absorb)``
+    = 2^d. ``clique_order`` lists the residual clique. ``fresh[X]`` is
+    ``base`` (the clique colors as singletons) plus the cheapest cover of X
+    by classes without clique vertices; ``fresh_parents[X]`` is the class
+    that covers X's lowest vertex.
 
-    ``absorb_ground`` lists the ground bits of D (bit i of a local mask
-    stands for ground bit ``absorb_ground[i]``). ``absorbers`` are the
-    clique vertices with a covered non-neighbour, in layer order.
-    ``absorb[U]`` is the least extra weight at which their colors take
-    exactly the local set U; ``absorb_parents[i][U]`` is the local set that
-    absorber i takes there, -1 for none. ``split`` is the set an optimum
-    absorbs. ``layers`` retains ``fresh`` and then every absorb layer, from
-    the empty one on, when requested, for diagnostics.
+    ``absorbers`` are the clique vertices with a covered non-neighbour, in
+    layer order. ``absorb[U]`` is the least extra weight at which their
+    colors take exactly the set U of D; ``absorb_parents[i][U]`` is the set
+    that absorber i takes there, -1 for none. ``split`` is the set an
+    optimum absorbs. ``layers`` retains ``fresh`` and then every absorb
+    layer, from the empty one on, when requested, for diagnostics.
     """
 
-    graph: WeightedGraph
     ground: tuple[int, ...]
     clique_order: tuple[int, ...]
     base: int
     fresh: list[int]
     fresh_parents: array
-    absorb_ground: tuple[int, ...]
     absorbers: tuple[int, ...]
     absorb: list[int]
     absorb_parents: list[array]
@@ -131,8 +130,8 @@ def build_dp(
     is at most 3^t/2 submask visits for ``fresh`` plus 3^d per absorber,
     for t covered vertices and the d of them in D.
     """
-    ground = tuple(sorted(m.vertices))
-    t = len(ground)
+    covered = m.covered_mask
+    t = covered.bit_count()
     if t > MAX_TABLE_BITS:
         raise InstanceTooLarge(
             f"table over {t} covered vertices exceeds cap {MAX_TABLE_BITS}"
@@ -146,27 +145,24 @@ def build_dp(
     size = 1 << t
     full = size - 1
 
+    # clique vertices without a covered non-neighbour stay singletons, already
+    # paid for in base, and get no absorb layer
+    absorbers = [v for v in clique if covered & ~g.adjacency[v]]
+    reach = 0
+    for v in absorbers:
+        reach |= covered & ~g.adjacency[v]
+    d = reach.bit_count()
+    if len(absorbers) << d > 1 << MAX_TABLE_BITS:
+        raise InstanceTooLarge(
+            f"{len(absorbers)} absorb tables over {d} vertices exceed cap"
+        )
+    # D first, so that the absorb table's sets of D are the ground masks below 2^d
+    ground = (*bits(reach), *bits(covered ^ reach))
+
     # ground-local masks: conflicts among covered vertices, and the covered
     # non-neighbours of each clique vertex
     def nonadjacent(a: int) -> int:
         return sum(1 << j for j, u in enumerate(ground) if not a >> u & 1)
-
-    # clique vertices without a covered non-neighbour stay singletons, already
-    # paid for in base, and get no absorb layer
-    absorbers = []
-    allowed = []
-    reach = 0
-    for v in clique:
-        mask = nonadjacent(g.adjacency[v])
-        if mask:
-            absorbers.append(v)
-            allowed.append(mask)
-            reach |= mask
-    dbits = tuple(j for j in range(t) if reach >> j & 1)
-    if len(absorbers) << len(dbits) > 1 << MAX_TABLE_BITS:
-        raise InstanceTooLarge(
-            f"{len(absorbers)} absorb tables over {len(dbits)} vertices exceed cap"
-        )
 
     conflict = [full ^ nonadjacent(g.adjacency[v]) for v in ground]
     wg = [w[v] for v in ground]
@@ -211,24 +207,19 @@ def build_dp(
         fresh_parents[x] = best_s
 
     # absorb: one layer per absorber over the 2^d subsets of D
-    dsize = 1 << len(dbits)
-    spread = [0] * dsize  # ground mask of each local mask
-    for u in range(1, dsize):
-        low = u & -u
-        spread[u] = spread[u ^ low] | 1 << dbits[low.bit_length() - 1]
+    dsize = 1 << d
     absorb = [_INF] * dsize
     absorb[0] = 0
     absorb_parents = []
     layers = [fresh, list(absorb)] if keep_layers else None
-    for v, mask in zip(absorbers, allowed):
-        la = sum(1 << i for i, j in enumerate(dbits) if mask >> j & 1)
+    for v in absorbers:
+        la = nonadjacent(g.adjacency[v])
         wv = w[v]
         extra = [-1] * dsize  # extra weight of v's class taking s, -1 if unstable
         s = la
         while s:
-            gs = spread[s]
-            if stab[gs]:
-                mw = maxw[gs]
+            if stab[s]:
+                mw = maxw[s]
                 extra[s] = mw - wv if mw > wv else 0
             s = (s - 1) & la
         # in place, downwards: a source u is read before any subset of u
@@ -251,34 +242,34 @@ def build_dp(
             layers.append(list(absorb))
 
     sigma, split = min(
-        (absorb[u] + fresh[full ^ spread[u]], u)
+        (absorb[u] + fresh[full ^ u], u)
         for u in range(dsize)
         if absorb[u] != _INF
     )
     return DPTable(
-        g, ground, clique, base, fresh, fresh_parents, dbits, tuple(absorbers),
-        absorb, absorb_parents, sigma, split, layers,
+        ground, clique, base, fresh, fresh_parents, tuple(absorbers), absorb,
+        absorb_parents, sigma, split, layers,
     )
 
 
 def extract_certificate(t: DPTable) -> Coloring:
     """Walk the parent pointers into an optimal proper coloring."""
-    ground = t.ground
-    taken: dict[int, list[int]] = {}
+
+    def members(s: int) -> list[int]:
+        return [t.ground[j] for j in bits(s)]
+
+    taken = {}
     u = t.split
     for v, par in zip(reversed(t.absorbers), reversed(t.absorb_parents)):
         s = par[u]
         if s > 0:
-            taken[v] = [ground[j] for i, j in enumerate(t.absorb_ground) if s >> i & 1]
+            taken[v] = s
             u ^= s
-    classes = [tuple(sorted([v, *taken.get(v, ())])) for v in t.clique_order]
-    x = (1 << len(ground)) - 1
-    for i, j in enumerate(t.absorb_ground):
-        if t.split >> i & 1:
-            x ^= 1 << j
+    classes = [tuple(sorted([v, *members(taken.get(v, 0))])) for v in t.clique_order]
+    x = ((1 << len(t.ground)) - 1) ^ t.split
     while x:
         s = t.fresh_parents[x]
-        classes.append(tuple(ground[j] for j in range(len(ground)) if s >> j & 1))
+        classes.append(tuple(sorted(members(s))))
         x ^= s
     return Coloring(tuple(classes))
 

@@ -9,7 +9,6 @@ instance families for tests and benchmarks.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -294,20 +293,6 @@ class SetCoverInstance:
             raise MalformedInstance(f"budget {self.budget} must be >= 1")
 
 
-def setcover_bruteforce(sc: SetCoverInstance, cap: int = 20) -> bool:
-    """True iff at most ``budget`` family sets cover the universe."""
-    if len(sc.family) > cap:
-        raise InstanceTooLarge(f"family of {len(sc.family)} sets exceeds cap {cap}")
-    need = frozenset(range(sc.universe))
-    if sc.budget >= len(sc.family):
-        return frozenset().union(*sc.family) == need
-    for size in range(1, sc.budget + 1):
-        for combo in itertools.combinations(sc.family, size):
-            if frozenset().union(*combo) == need:
-                return True
-    return False
-
-
 def reduce_setcover(sc: SetCoverInstance) -> DualInstance:
     """Encode set cover as a savings decision on a split graph.
 
@@ -512,45 +497,6 @@ def random_instance(
     adj = tuple(int(r[::-1], 2) | int(c[::-1], 2) for r, c in zip(rows, columns))
     weights = tuple(rng.randint(1, wmax) for _ in range(n))
     return DualInstance(WeightedGraph(n, adj, weights), k)
-
-
-def random_split_instance(
-    clique_size: int, stable_size: int, d: int, k: int, seed: int, wmax: int = 4
-) -> tuple[DualInstance, SplitProfile]:
-    """Split graph where each clique vertex misses at most d stable vertices."""
-    _check_at_least(0, clique_size=clique_size, stable_size=stable_size, d=d)
-    _check_at_least(1, k=k, wmax=wmax)
-    rng = random.Random(seed)
-    n = clique_size + stable_size
-    clique = list(range(clique_size))
-    stable = list(range(clique_size, n))
-    edges = list(itertools.combinations(clique, 2))
-    for v in clique:
-        misses = rng.sample(stable, rng.randint(0, min(d, stable_size)))
-        edges.extend((v, u) for u in stable if u not in misses)
-    weights = [rng.randint(1, wmax) for _ in range(n)]
-    g = build_graph(n, edges, weights)
-    smask = sum(1 << v for v in stable)
-    d_real = max(
-        ((smask & ~g.adjacency[v]).bit_count() for v in clique), default=0
-    )
-    return DualInstance(g, k), SplitProfile(tuple(clique), tuple(stable), d_real)
-
-
-def random_interval_instance(
-    n: int, k: int, seed: int, span: int = 30, max_len: int = 8, wmax: int = 4
-) -> tuple[DualInstance, IntervalRepresentation]:
-    """Random integer intervals on a line segment."""
-    _check_at_least(0, n=n, span=span, max_len=max_len)
-    _check_at_least(1, k=k, wmax=wmax)
-    rng = random.Random(seed)
-    intervals = []
-    for _ in range(n):
-        left = rng.randint(0, span)
-        intervals.append((left, left + rng.randint(0, max_len)))
-    weights = tuple(rng.randint(1, wmax) for _ in range(n))
-    rep = IntervalRepresentation(tuple(intervals), weights)
-    return DualInstance(intervals_to_graph(rep), k), rep
 
 
 def bench_instance(n: int, k: int, seed: int, wmax: int = 5) -> DualInstance:

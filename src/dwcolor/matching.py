@@ -28,10 +28,6 @@ class Antimatching:
         return len(self.pairs)
 
     @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for p in self.pairs for v in p)
-
-    @property
     def covered_mask(self) -> int:
         mask = 0
         for u, v in self.pairs:
@@ -144,14 +140,3 @@ def maximum_antimatching(g: WeightedGraph) -> Antimatching:
     """Maximum set of vertex-disjoint non-edges (matching of the complement)."""
     return Antimatching(tuple(maximum_matching(complement(g))), g.n)
 
-
-def is_valid_antimatching(g: WeightedGraph, am: Antimatching) -> bool:
-    """Pairs are vertex-disjoint non-edges of ``g``."""
-    seen: set[int] = set()
-    for u, v in am.pairs:
-        if u == v or g.has_edge(u, v):
-            return False
-        if u in seen or v in seen:
-            return False
-        seen.update((u, v))
-    return True

@@ -15,8 +15,6 @@ split.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import InstanceTooLarge, PreconditionViolated
 from .graph import WeightedGraph
 
@@ -120,27 +118,3 @@ def decide_dual_oracle(g: WeightedGraph, k: int, cap: int = DEFAULT_CAP) -> bool
         raise PreconditionViolated(f"k={k} must be >= 1")
     return sigma_exact(g, cap) <= g.weight_sum - k
 
-
-def maximum_matching_bruteforce(g: WeightedGraph, cap: int = 12) -> int:
-    """Exact maximum matching cardinality by exhaustive search (test oracle)."""
-    _check_cap(g, cap)
-    adj = g.adjacency
-
-    @lru_cache(maxsize=None)
-    def best(free: int) -> int:
-        if not free:
-            return 0
-        low = free & -free
-        u = low.bit_length() - 1
-        free ^= low
-        r = best(free)  # leave u unmatched
-        avail = adj[u] & free
-        while avail:
-            b = avail & -avail
-            r = max(r, 1 + best(free ^ b))
-            avail ^= b
-        return r
-
-    result = best((1 << g.n) - 1)
-    best.cache_clear()
-    return result

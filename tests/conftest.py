@@ -1,15 +1,34 @@
-"""Shared helpers: small named graphs and independent brute-force oracles.
+"""Shared helpers: small named graphs, independent brute-force oracles and
+random instance families.
 
-The oracles here enumerate colorings or matchings directly and never touch
-the package's dynamic programs, so they can vouch for them.
+The oracles here enumerate colorings, matchings or set covers directly and
+never touch the package's dynamic programs, so they can vouch for them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 
-from dwcolor import WeightedGraph, build_graph
+from dwcolor import (
+    Antimatching,
+    DualInstance,
+    InstanceTooLarge,
+    IntervalRepresentation,
+    PreconditionViolated,
+    SetCoverInstance,
+    SplitProfile,
+    WeightedGraph,
+    build_graph,
+    intervals_to_graph,
+)
+
+
+def _check_at_least(low: int, **values: int) -> None:
+    for name, value in values.items():
+        if not value >= low:
+            raise PreconditionViolated(f"{name}={value} must be >= {low}")
 
 
 def path_graph(n: int, weights=None) -> WeightedGraph:
@@ -159,3 +178,94 @@ def absorb_heavy_graph() -> WeightedGraph:
     full = (1 << n) - 1
     adj = tuple(full ^ (m | 1 << v) for v, m in enumerate(missing))
     return WeightedGraph(n, adj, (1,) * n)
+
+
+def is_valid_antimatching(g: WeightedGraph, am: Antimatching) -> bool:
+    """Pairs are vertex-disjoint non-edges of ``g``."""
+    seen: set[int] = set()
+    for u, v in am.pairs:
+        if u == v or g.has_edge(u, v):
+            return False
+        if u in seen or v in seen:
+            return False
+        seen.update((u, v))
+    return True
+
+
+def maximum_matching_bruteforce(g: WeightedGraph, cap: int = 12) -> int:
+    """Exact maximum matching cardinality by exhaustive search."""
+    if g.n > cap:
+        raise InstanceTooLarge(f"n={g.n} exceeds cap {cap}")
+    adj = g.adjacency
+
+    @lru_cache(maxsize=None)
+    def best(free: int) -> int:
+        if not free:
+            return 0
+        low = free & -free
+        u = low.bit_length() - 1
+        free ^= low
+        r = best(free)  # leave u unmatched
+        avail = adj[u] & free
+        while avail:
+            b = avail & -avail
+            r = max(r, 1 + best(free ^ b))
+            avail ^= b
+        return r
+
+    result = best((1 << g.n) - 1)
+    best.cache_clear()
+    return result
+
+
+def setcover_bruteforce(sc: SetCoverInstance, cap: int = 20) -> bool:
+    """True iff at most ``budget`` family sets cover the universe."""
+    if len(sc.family) > cap:
+        raise InstanceTooLarge(f"family of {len(sc.family)} sets exceeds cap {cap}")
+    need = frozenset(range(sc.universe))
+    if sc.budget >= len(sc.family):
+        return frozenset().union(*sc.family) == need
+    for size in range(1, sc.budget + 1):
+        for combo in itertools.combinations(sc.family, size):
+            if frozenset().union(*combo) == need:
+                return True
+    return False
+
+
+def random_split_instance(
+    clique_size: int, stable_size: int, d: int, k: int, seed: int, wmax: int = 4
+) -> tuple[DualInstance, SplitProfile]:
+    """Split graph where each clique vertex misses at most d stable vertices."""
+    _check_at_least(0, clique_size=clique_size, stable_size=stable_size, d=d)
+    _check_at_least(1, k=k, wmax=wmax)
+    rng = random.Random(seed)
+    n = clique_size + stable_size
+    clique = list(range(clique_size))
+    stable = list(range(clique_size, n))
+    edges = list(itertools.combinations(clique, 2))
+    for v in clique:
+        misses = rng.sample(stable, rng.randint(0, min(d, stable_size)))
+        edges.extend((v, u) for u in stable if u not in misses)
+    weights = [rng.randint(1, wmax) for _ in range(n)]
+    g = build_graph(n, edges, weights)
+    smask = sum(1 << v for v in stable)
+    d_real = max(
+        ((smask & ~g.adjacency[v]).bit_count() for v in clique), default=0
+    )
+    return DualInstance(g, k), SplitProfile(tuple(clique), tuple(stable), d_real)
+
+
+def random_interval_instance(
+    n: int, k: int, seed: int, span: int = 30, max_len: int = 8, wmax: int = 4
+) -> tuple[DualInstance, IntervalRepresentation]:
+    """Random integer intervals on a line segment."""
+    _check_at_least(0, n=n, span=span, max_len=max_len)
+    _check_at_least(1, k=k, wmax=wmax)
+    rng = random.Random(seed)
+    intervals = []
+    for _ in range(n):
+        left = rng.randint(0, span)
+        intervals.append((left, left + rng.randint(0, max_len)))
+    weights = tuple(rng.randint(1, wmax) for _ in range(n))
+    rep = IntervalRepresentation(tuple(intervals), weights)
+    return DualInstance(intervals_to_graph(rep), k), rep

@@ -32,7 +32,6 @@ from dwcolor.kernel import (
     kernelize,
 )
 from dwcolor.matching import maximum_antimatching
-from dwcolor.oracle import maximum_matching_bruteforce
 from dwcolor.instances import (
     SetCoverInstance,
     bench_instance,
@@ -40,12 +39,16 @@ from dwcolor.instances import (
     gen_tight_interval,
     interval_kernel_limit,
     maximal_cliques_ordered,
+    reduce_setcover,
+)
+from conftest import (
+    all_labeled_graphs,
+    maximum_matching_bruteforce,
+    random_graph,
     random_interval_instance,
     random_split_instance,
-    reduce_setcover,
     setcover_bruteforce,
 )
-from conftest import all_labeled_graphs, random_graph
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -18,7 +18,7 @@ from dwcolor.cli import main
 from dwcolor.formats import parse_dwc, serialize_dwc
 from dwcolor.fpt import DualInstance
 from dwcolor.kernel import kernelize
-from dwcolor.graph import build_graph
+from dwcolor.graph import Coloring, build_graph
 from conftest import absorb_heavy_graph, complete_graph
 
 P3 = "p dwc 3 2 1\nw 1 1\nw 2 2\nw 3 1\ne 1 2\ne 2 3\n"
@@ -76,6 +76,21 @@ def test_solve_no_exit_one(k2_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["answer"] == "no" and out["sigma"] == 8
     assert out["certificate"] == [[1], [2]]
+
+
+def test_solve_checks_certificate_before_printing(k2_file, capsys, monkeypatch):
+    real = dwcolor.fpt.extract_certificate
+
+    def merge_first_two(table):
+        first, second, *rest = real(table).classes
+        return Coloring((tuple(sorted(first + second)), *rest))
+
+    monkeypatch.setattr(dwcolor.fpt, "extract_certificate", merge_first_two)
+    assert build_graph(2, [(0, 1)], [3, 5]) == parse_dwc(K2).graph  # merged ends adjacent
+    assert main(["solve", k2_file, "--emit-certificate"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: certificate: ") and "Traceback" not in err
 
 
 def test_solve_parse_error_exit_two(tmp_path, capsys):

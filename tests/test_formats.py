@@ -356,9 +356,9 @@ def test_comment_and_integer_rules(kind):
     text = template.format(*plain)
     expected = parse(text)
     # a comment line's first token is c, alone or followed by a tab; a
-    # non-ASCII comment sends the file through the closer integer check
+    # comment holding '+' or '_' sends the file through the closer integer check
     head, *body = text.splitlines(keepends=True)
-    commented = "c ٢ +7\n" + head + "c\n" + "".join(line + "c\tnote\n" for line in body)
+    commented = "c 1_000 +7\n" + head + "c\n" + "".join(line + "c\tnote\n" for line in body)
     assert parse(commented) == expected
     with pytest.raises(FormatError, match=message):
         parse(directive)
@@ -370,3 +370,16 @@ def test_comment_and_integer_rules(kind):
             parse(template.format(*fields))
     with pytest.raises(FormatError, match=r"^line 2: "):
         parse(template.format(*lax))
+    # a file holds printable ASCII, tab, CR and LF only: Unicode or control
+    # whitespace would split fields or lines where the serializer never does
+    assert parse(text.replace("\n", "\r\n")) == expected
+    last = text.rindex(" ")
+    first, rest = text.split("\n", 1)
+    bad_files = [
+        ("c ٢\n" + text, 1),
+        (text[:last] + "\u2003" + text[last + 1 :], text.count("\n")),
+        *((first + "\n" + rest.replace("\n", brk, 1), 2) for brk in "\x85\x0b\x0c"),
+    ]
+    for bad, line in bad_files:
+        with pytest.raises(FormatError, match=rf"^line {line}: character "):
+            parse(bad)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -23,6 +24,7 @@ from dwcolor.fpt import (
     shortcut_certificate,
     solve_dual,
 )
+from dwcolor.graph import bits
 from dwcolor.instances import bench_instance
 from dwcolor.matching import Antimatching, maximum_antimatching
 from conftest import absorb_heavy_graph, complete_graph, path_graph, random_graph
@@ -112,7 +114,8 @@ def test_table_layer_monotonicity():
         fresh, *absorb = t.layers
         assert fresh == t.fresh and fresh[0] == t.base
         assert len(absorb) == len(t.absorbers) + 1
-        size = 1 << len(t.absorb_ground)
+        size = len(t.absorb)
+        assert size == 1 << _blind_union(g, am).bit_count()
         for i in range(1, len(absorb)):
             for u in range(size):
                 assert absorb[i][u] <= absorb[i - 1][u]
@@ -120,14 +123,17 @@ def test_table_layer_monotonicity():
         for layer in absorb:
             assert layer[0] == 0
         full = (1 << len(t.ground)) - 1
-        best = min(
-            t.absorb[u] + fresh[full ^ _ground_mask(t, u)] for u in range(size)
-        )
+        best = min(t.absorb[u] + fresh[full ^ u] for u in range(size))
         assert best == t.sigma
 
 
-def _ground_mask(t, u):
-    return sum(1 << j for i, j in enumerate(t.absorb_ground) if u >> i & 1)
+def _blind_union(g, am):
+    """D: the covered vertices some residual clique vertex is not adjacent to."""
+    covered = am.covered_mask
+    reach = 0
+    for v in am.residual_clique:
+        reach |= covered & ~g.adjacency[v]
+    return reach
 
 
 def test_absorb_layers_only_for_absorbers():
@@ -144,6 +150,29 @@ def test_absorb_layers_only_for_absorbers():
             assert len(par) <= 1 << (k - 1)
         cert = extract_certificate(t)
         assert is_proper(g, cert) and coloring_weight(g, cert) == t.sigma
+
+
+# sha256 of repr((sigma, certificate.classes)) from solve_dual, pinned so that
+# a change of the table's bit order cannot change an answer or a certificate
+_PINNED_TABLE_ANSWERS = {
+    (200, 6, 1): "db9b2fd8b24d69d91f06132ab00b05e9a94a4c70a2d77991d3d6f7dde5290eb3",
+    (200, 6, 2): "52340a8fb7313051dff88c306a618f135e509f05ff5ca5f65b386af866a10c25",
+    (200, 7, 1): "65171aa496d054dde05421e1b26443a25262202fb32b59e9f275f84541c587d6",
+    (200, 7, 2): "79f629c7dced6649841efdb5df585258aacbe0ca3a212faa02f38deb8e5089e6",
+    (200, 8, 1): "136a678348702834e5ebc591ae73ca91d893af4f95f57a1ce62824b1a6fab431",
+    (200, 8, 2): "e5ac5f6a7f5fbd3d60f91c9378d1db64269d2cb08daa96698fa7c4037f7f2d45",
+    (240, 3, 1): "df0fa1758003f40415a9d7eb35ebfd90d9948e0155a356b1c8d51994a639fd3f",
+    (320, 4, 1): "d767129c02b2a456e8e9b1c9d3a78772bb5ff74384ce517c158a7239f4105112",
+    (400, 5, 1): "2504de01cb499c8f357a47891a247f51c132bbeebeffed1d14339faf8a390b10",
+}
+
+
+@pytest.mark.parametrize("args", sorted(_PINNED_TABLE_ANSWERS))
+def test_bench_answers_are_pinned(args):
+    ans = solve_dual(bench_instance(*args))
+    assert ans.sigma is not None
+    digest = hashlib.sha256(repr((ans.sigma, ans.certificate.classes)).encode())
+    assert digest.hexdigest() == _PINNED_TABLE_ANSWERS[args]
 
 
 def test_table_too_wide_raises_before_allocating():
@@ -211,6 +240,13 @@ def test_table_matches_oracle(g):
     am = maximum_antimatching(g)
     t = build_dp(g, am)
     assert t.sigma == sigma_exact(g)
+    # D comes first in the ground, so the absorbed split is a mask below 2^d
+    assert t.split < len(t.absorb)
+    reach = _blind_union(g, am)
+    d = reach.bit_count()
+    assert len(t.absorb) == 1 << d
+    assert t.ground[:d] == tuple(bits(reach))
+    assert t.ground[d:] == tuple(bits(am.covered_mask & ~reach))
     cert = extract_certificate(t)
     assert is_proper(g, cert)
     assert coloring_weight(g, cert) == t.sigma
@@ -220,7 +256,7 @@ def test_full_ground_absorbed_on_stable_sets():
     for n in (3, 5, 7, 9):
         g = build_graph(n, [], list(range(1, n + 1)))
         t = build_dp(g, maximum_antimatching(g))
-        assert t.absorb_ground == tuple(range(n - 1))
+        assert t.ground == tuple(range(n - 1)) and len(t.absorb) == 1 << (n - 1)
         assert t.sigma == n == sigma_exact(g)
 
 

@@ -34,10 +34,7 @@ from dwcolor.instances import (
     interval_kernel_limit,
     maximal_cliques_ordered,
     random_instance,
-    random_interval_instance,
-    random_split_instance,
     reduce_setcover,
-    setcover_bruteforce,
     split_partition,
     vertex_clique_spans,
 )
@@ -47,6 +44,9 @@ from conftest import (
     cycle_graph,
     path_graph,
     random_graph,
+    random_interval_instance,
+    random_split_instance,
+    setcover_bruteforce,
 )
 
 

@@ -4,16 +4,16 @@ from dwcolor import (
     build_graph,
     complement,
     is_clique,
-    is_valid_antimatching,
     maximum_antimatching,
     maximum_matching,
 )
-from dwcolor.oracle import maximum_matching_bruteforce
 from conftest import (
     all_antimatchings_bruteforce,
     all_labeled_graphs,
     complete_graph,
     cycle_graph,
+    is_valid_antimatching,
+    maximum_matching_bruteforce,
     petersen_graph,
     random_graph,
 )

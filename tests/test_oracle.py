@@ -17,6 +17,7 @@ from dwcolor.oracle import DEFAULT_CAP
 from conftest import (
     chromatic_number_bruteforce,
     complete_graph,
+    maximum_matching_bruteforce,
     path_graph,
     random_graph,
     sigma_partition_bruteforce,
@@ -109,8 +110,6 @@ def test_decide_examples():
 
 def test_matching_bruteforce_cap():
     g = build_graph(13, [], [1] * 13)
-    from dwcolor import maximum_matching_bruteforce
-
     with pytest.raises(InstanceTooLarge):
         maximum_matching_bruteforce(g)
 
