@@ -27,7 +27,7 @@ from .formats import (
     serialize_dwc,
     serialize_interval,
 )
-from .graph import Coloring, coloring_weight, is_proper
+from .graph import Coloring, coloring_weight, is_stable
 from .instances import (
     audit_interval_bounds,
     audit_split_bounds,
@@ -78,11 +78,10 @@ def _check_certificate(inst: DualInstance, ans: DualAnswer) -> None:
     ``weight_sum - k`` on a yes."""
     g, c = inst.graph, ans.certificate
     try:
-        proper = is_proper(g, c)
+        weight = coloring_weight(g, c)  # validates the partition once
     except InvalidColoring as exc:
         raise ClaimViolation("certificate", str(exc)) from None
-    weight = coloring_weight(g, c)
-    if not proper:
+    if not all(is_stable(g, cls) for cls in c.classes):
         problem = "a color class is not stable"
     elif ans.sigma is not None and weight != ans.sigma:
         problem = f"weight {weight} differs from sigma {ans.sigma}"

@@ -8,12 +8,12 @@ Three formats, all 1-indexed in files (the in-memory API is 0-indexed):
 * set-cover instances:  ``p setcover <universe> <sets> <ell>``, then one
   ``s <set-id> <elem>...`` line per set.
 
-A file holds printable ASCII, tabs, carriage returns and newlines only.
-Blank lines and lines whose first token is ``c`` are comments, ignored
-anywhere. Every field but the tags (``p <format>``, ``w``, ``e``, ...) is an
-integer in ASCII decimal digits with an optional leading ``-``. Serializers
-emit a canonical form (sorted ids, no comments), so parse followed by
-serialize is the identity on canonical files.
+A file holds printable ASCII, tabs, carriage returns (read as spaces) and
+newlines only. Blank lines and lines whose first token is ``c`` are comments,
+ignored anywhere. Every field but the tags (``p <format>``, ``w``, ``e``, ...)
+is an integer in ASCII decimal digits with an optional leading ``-``.
+Serializers emit a canonical form (sorted ids, no comments), so parse followed
+by serialize is the identity on canonical files.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ _ALLOWED = bytes(range(0x20, 0x7F)) + b"\t\r\n"
 
 
 def _rows(text: str):
-    """Yield ``[line number, token, ...]`` for each line that is not a comment,
-    splitting the text in pieces that end at a newline and double in size, so
-    that a caller that stops early splits little past the row it stops at."""
+    """Yield ``[line number, token, ...]`` for each line that is not a comment;
+    lines end at a newline only. The text is split in pieces that end before a
+    newline and double in size, so a caller that stops early splits little."""
     start = lineno = 0
     while start < len(text):
-        end = text.find("\n", 2 * start + 256) + 1 or len(text)
-        for lineno, raw in enumerate(text[start:end].splitlines(), lineno + 1):
+        end = text.find("\n", 2 * start + 256) + 1 or len(text) + 1
+        for lineno, raw in enumerate(text[start : end - 1].split("\n"), lineno + 1):
             toks = raw.split()
             if toks and toks[0] != "c":
                 yield [str(lineno)] + toks
@@ -65,9 +65,9 @@ def _check_characters(text: str) -> None:
 
 def _check_integers(text: str, rows: list[list[str]]) -> None:
     """Reject a field that is not ASCII decimal with an optional leading '-'.
-    On ASCII text without '+' or '_', ``int`` accepts exactly those, so only
-    other texts get a look at every field after the tags."""
-    if text.isascii() and "+" not in text and "_" not in text:
+    Non-ASCII text fails :func:`_check_characters`, and on other text without
+    '+' or '_' ``int`` accepts exactly those, so only the rest is read field by field."""
+    if "+" not in text and "_" not in text:
         return
     for row in rows:
         for tok in row[3 if row[1] == "p" else 2:]:

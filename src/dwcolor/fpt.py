@@ -28,7 +28,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, PreconditionViolated
-from .graph import Coloring, WeightedGraph, bits, is_clique
+from .graph import Coloring, WeightedGraph, bits, is_clique, relabeler
 from .matching import Antimatching, maximum_antimatching
 
 # Widest table build_dp allocates: 2^22 states, the oracle's default cap.
@@ -161,10 +161,8 @@ def build_dp(
 
     # ground-local masks: conflicts among covered vertices, and the covered
     # non-neighbours of each clique vertex
-    def nonadjacent(a: int) -> int:
-        return sum(1 << j for j, u in enumerate(ground) if not a >> u & 1)
-
-    conflict = [full ^ nonadjacent(g.adjacency[v]) for v in ground]
+    local = relabeler(ground, g.n)
+    conflict = [local(g.adjacency[v]) for v in ground]
     wg = [w[v] for v in ground]
     base = sum(w[v] for v in clique)
 
@@ -213,7 +211,7 @@ def build_dp(
     absorb_parents = []
     layers = [fresh, list(absorb)] if keep_layers else None
     for v in absorbers:
-        la = nonadjacent(g.adjacency[v])
+        la = full ^ local(g.adjacency[v])
         wv = w[v]
         extra = [-1] * dsize  # extra weight of v's class taking s, -1 if unstable
         s = la

@@ -22,7 +22,7 @@ from .errors import (
     TrivialBudget,
 )
 from .fpt import DualInstance
-from .graph import WeightedGraph, build_graph, is_clique, is_stable, is_universal
+from .graph import WeightedGraph, build_graph, complement, is_clique, is_stable, is_universal
 from .kernel import check_bound_bits, compute_classes, kernel_size_limit, kernelize
 from .matching import maximum_antimatching
 
@@ -413,9 +413,7 @@ def gen_tight_general(k: int) -> DualInstance:
                 missing[2 * j] |= members
         missing[first : first + t] = [blind] * t
         first += t
-    full = (1 << n) - 1
-    adj = tuple(full ^ (m | 1 << v) for v, m in enumerate(missing))
-    g = WeightedGraph(n, adj, (1,) * n)
+    g = complement(WeightedGraph(n, tuple(missing), (1,) * n))
 
     # construction self-checks
     _require(g.n == kernel_size_limit(k), "tight_size")
@@ -522,7 +520,5 @@ def bench_instance(n: int, k: int, seed: int, wmax: int = 5) -> DualInstance:
             for c in rng.sample(centers, rng.randint(1, min(3, len(centers)))):
                 missing[c] |= 1 << u
                 missing[u] |= 1 << c
-    full = (1 << n) - 1
-    adj = tuple(full ^ (m | 1 << v) for v, m in enumerate(missing))
     weights = tuple(rng.randint(1, wmax) for _ in range(n))
-    return DualInstance(WeightedGraph(n, adj, weights), k)
+    return DualInstance(complement(WeightedGraph(n, tuple(missing), weights)), k)

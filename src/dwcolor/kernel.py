@@ -40,7 +40,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .fpt import DualInstance
-from .graph import WeightedGraph, build_graph, induced_subgraph, is_universal
+from .graph import WeightedGraph, bits, build_graph, induced_subgraph, is_universal
 from .matching import Antimatching, maximum_antimatching
 
 RULE_UNIVERSAL = "delete_universal"
@@ -234,7 +234,7 @@ def compute_classes(g: WeightedGraph, m: Antimatching) -> ClassPartition:
     classes = tuple(
         NeighborhoodClass(
             vertices=tuple(vs),
-            signature=frozenset(u for u in range(g.n) if sig >> u & 1),
+            signature=frozenset(bits(sig)),
             special=class_special[i],
         )
         for i, (sig, vs) in enumerate(ordered)

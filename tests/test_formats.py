@@ -383,3 +383,17 @@ def test_comment_and_integer_rules(kind):
     for bad, line in bad_files:
         with pytest.raises(FormatError, match=rf"^line {line}: character "):
             parse(bad)
+    # lines end at a newline only: a lone carriage return is whitespace, so a
+    # file whose lines end at one is a single, overlong problem line
+    with pytest.raises(FormatError, match=r"^line 1: expected 'p "):
+        parse(text.replace("\n", "\r"))
+    # line numbers hold across the pieces a long file is split into, with
+    # LF and with CRLF line ends
+    pad = "c padding\n" * 300
+    late_field = pad + template.format(lax[0], *plain[1:])
+    late_char = pad + bad_files[1][0]
+    for eol in ("\n", "\r\n"):
+        with pytest.raises(FormatError, match=rf"^line {300 + slot_lines[0]}: field "):
+            parse(late_field.replace("\n", eol))
+        with pytest.raises(FormatError, match=rf"^line {300 + bad_files[1][1]}: character "):
+            parse(late_char.replace("\n", eol))

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwcolor import (
     ArityMismatch,
@@ -19,6 +22,7 @@ from dwcolor import (
     is_stable,
     is_universal,
 )
+from dwcolor.graph import relabeler
 from conftest import complete_graph, path_graph, random_graph, star_graph
 
 
@@ -125,3 +129,41 @@ def test_induced_subgraph():
     assert sub.weights == (3, 1)
     sub2, old2 = induced_subgraph(g, [2, 1])
     assert old2 == (1, 2) and sub2.edges() == [(0, 1)]
+    # every density, across 64 bits: the subgraph's edges are g's edges
+    # between kept vertices, by definition
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.randint(0, 80)
+        g = random_graph(rng, n, rng.choice([0.0, 1.0, rng.random()]))
+        keep = rng.sample(range(n), rng.randint(0, n))
+        sub, old = induced_subgraph(g, keep)
+        assert old == tuple(sorted(keep)) and sub.n == len(keep)
+        assert sub.weights == tuple(g.weights[v] for v in old)
+        for (i, u), (j, v) in itertools.product(enumerate(old), repeat=2):
+            assert sub.has_edge(i, j) == g.has_edge(u, v)
+
+
+@st.composite
+def rows_and_orders(draw):
+    """A row over n <= 130 vertices (so rows cross 64 bits), edgeless, any,
+    dense or complete, with any order of any subset of 0..n-1."""
+    n = draw(st.integers(0, 130))
+    full = (1 << n) - 1
+    kind = draw(st.sampled_from(["edgeless", "any", "dense", "complete"]))
+    if kind == "any":
+        row = draw(st.integers(0, full))
+    elif kind == "dense":
+        row = full ^ (draw(st.integers(0, full)) & draw(st.integers(0, full)))
+    else:
+        row = full if kind == "complete" else 0
+    order = draw(st.permutations(list(range(n))))[: draw(st.integers(0, n))]
+    return n, row, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_and_orders())
+def test_relabeler_picks_bits_in_order(case):
+    n, row, order = case
+    mask = relabeler(order, n)(row)
+    assert mask >> len(order) == 0
+    assert all(mask >> i & 1 == row >> v & 1 for i, v in enumerate(order))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -12,7 +13,7 @@ from dwcolor import (
 )
 import dwcolor.kernel as kernel
 from dwcolor.fpt import DualInstance
-from dwcolor.instances import bench_instance
+from dwcolor.instances import bench_instance, gen_tight_general, random_instance
 from dwcolor.kernel import (
     audit_claims,
     canonical_no_instance,
@@ -198,3 +199,25 @@ def test_audit_counts_on_structured_instance():
     assert report.normal_class_count == 1 <= 2 ** part.k_n - 1
     # the single residual vertex misses exactly one endpoint of one pair
     assert sum(v is not None for v in part.missing) == 1
+
+
+# sha256 of repr(KernelTrace) from kernelize, which spells out every field
+# (reduced graph and k, log, vertex_map, verdict_shortcut, claims,
+# antimatching_size); pinned so that a change to how rows are relabelled
+# cannot change a kernel
+_PINNED_KERNELS = [
+    ("bench", (60, 3, 1), "f359ae9bb4beaa313aaea9cda96ad0fddf5409312053e0c5c2700b447358e4e3"),
+    ("bench", (60, 6, 1), "df9c5d37608d33a2ca5490a2db427c6a7d70790edc97b19d643b25be3efda681"),
+    ("bench", (200, 6, 2), "19fc9bfd4d264f89699a0b134e3232b9e9a5d303dcaafcc7ce9963b6550a95f1"),
+    ("bench", (200, 8, 1), "e28bf293e26b1441ce6e67ce05655622570bb8b17e781f012f203eb1e855853d"),
+    ("bench", (800, 6, 1), "57bb0e27f6dade2a407f9ed9d7520f84c472ac4031fd09400ebe4b88013ac855"),
+    ("tight", (4,), "8c1a92987893a1787d66fa316dc34fbff61164eeb3449ceed34447c10e7d8bec"),
+    ("random", (40, 0.9, 3, 1), "f3dcb35c80932699343ac0b7bff94e790a845aad52c6b834bc871c19c7214efb"),
+]
+_MAKERS = {"bench": bench_instance, "random": random_instance, "tight": gen_tight_general}
+
+
+@pytest.mark.parametrize("kind,args,digest", _PINNED_KERNELS)
+def test_kernel_traces_are_pinned(kind, args, digest):
+    tr = kernelize(_MAKERS[kind](*args))
+    assert hashlib.sha256(repr(tr).encode()).hexdigest() == digest
