@@ -39,7 +39,7 @@ from .instances import (
 )
 from .kernel import kernel_size_limit, kernelize
 from .matching import maximum_antimatching
-from .oracle import DEFAULT_CAP, sigma_exact
+from .oracle import sigma_exact
 
 
 def _fail(msg: str) -> int:
@@ -97,7 +97,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     g = inst.graph
     start = time.perf_counter()
     if args.oracle or args.both:
-        sigma = sigma_exact(g, args.cap)
+        sigma = sigma_exact(g)
         verdict = sigma <= inst.threshold
     if args.oracle:
         am = maximum_antimatching(g)
@@ -111,9 +111,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.emit_certificate and ans.certificate is not None:
         _check_certificate(inst, ans)
     if args.both:
-        if ans.verdict != verdict:
+        if ans.verdict != verdict or ans.sigma not in (None, sigma):
             return _fail(
-                f"solver disagreement: oracle says {verdict}, table says {ans.verdict}"
+                f"solver disagreement: oracle says {verdict} (sigma {sigma}), "
+                f"table says {ans.verdict} (sigma {ans.sigma})"
             )
         ans = replace(ans, sigma=sigma)
     payload = {
@@ -220,9 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--oracle", action="store_true", help="exhaustive solver only")
-    mode.add_argument("--fpt", action="store_true", help="parameterized solver (default)")
     mode.add_argument("--both", action="store_true", help="run both and cross-check")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle size cap")
     p.add_argument("--emit-certificate", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -246,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="check structural bounds of an instance file")
     p.add_argument("path")
     what = p.add_mutually_exclusive_group()
-    what.add_argument("--claims", action="store_true", help="class-structure audit (default)")
     what.add_argument("--interval", action="store_true")
     what.add_argument("--split", action="store_true")
     p.set_defaults(func=cmd_audit)

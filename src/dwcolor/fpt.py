@@ -31,7 +31,7 @@ from .errors import InstanceTooLarge, PreconditionViolated
 from .graph import Coloring, WeightedGraph, bits, is_clique, relabeler
 from .matching import Antimatching, maximum_antimatching
 
-# Widest table build_dp allocates: 2^22 states, the oracle's default cap.
+# Widest table build_dp allocates: 2^22 states, the oracle's cap.
 MAX_TABLE_BITS = 22
 _INF = float("inf")
 
@@ -85,8 +85,7 @@ class DPTable:
     layer order. ``absorb[U]`` is the least extra weight at which their
     colors take exactly the set U of D; ``absorb_parents[i][U]`` is the set
     that absorber i takes there, -1 for none. ``split`` is the set an
-    optimum absorbs. ``layers`` retains ``fresh`` and then every absorb
-    layer, from the empty one on, when requested, for diagnostics.
+    optimum absorbs.
     """
 
     ground: tuple[int, ...]
@@ -99,7 +98,6 @@ class DPTable:
     absorb_parents: list[array]
     sigma: int
     split: int
-    layers: list[list[int]] | None
 
 
 def shortcut_certificate(g: WeightedGraph, m: Antimatching, k: int) -> Coloring:
@@ -115,9 +113,7 @@ def shortcut_certificate(g: WeightedGraph, m: Antimatching, k: int) -> Coloring:
     return Coloring(tuple(classes))
 
 
-def build_dp(
-    g: WeightedGraph, m: Antimatching, *, keep_layers: bool = False
-) -> DPTable:
+def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
     """Fill the assignment tables; requires ``m`` to be a maximum antimatching.
 
     The uncovered vertices must induce a clique, which is checked. At most
@@ -209,7 +205,6 @@ def build_dp(
     absorb = [_INF] * dsize
     absorb[0] = 0
     absorb_parents = []
-    layers = [fresh, list(absorb)] if keep_layers else None
     for v in absorbers:
         la = full ^ local(g.adjacency[v])
         wv = w[v]
@@ -236,8 +231,6 @@ def build_dp(
                     par[u | s] = s
                 s = (s - 1) & free
         absorb_parents.append(par)
-        if keep_layers:
-            layers.append(list(absorb))
 
     sigma, split = min(
         (absorb[u] + fresh[full ^ u], u)
@@ -246,7 +239,7 @@ def build_dp(
     )
     return DPTable(
         ground, clique, base, fresh, fresh_parents, tuple(absorbers), absorb,
-        absorb_parents, sigma, split, layers,
+        absorb_parents, sigma, split,
     )
 
 

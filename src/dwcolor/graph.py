@@ -101,10 +101,6 @@ class Coloring:
 
     classes: tuple[tuple[int, ...], ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.classes)
-
 
 def build_graph(
     n: int, edges: Iterable[tuple[int, int]], weights: Sequence[int]

@@ -77,18 +77,11 @@ class NeighborhoodClass:
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Residual clique split into neighborhood classes, with non-edge tags.
+    """Residual clique split into neighborhood classes, with the number of
+    special pairs (some class sees neither endpoint) and normal pairs; ``k_s
+    + k_n`` equals the number of pairs."""
 
-    ``missing[i]`` is the endpoint of pair ``pairs[i]`` that some class fails
-    to see (None when every class sees both endpoints); it is only set for
-    normal pairs. ``k_s + k_n`` equals the number of pairs.
-    """
-
-    clique: tuple[int, ...]
     classes: tuple[NeighborhoodClass, ...]
-    pairs: tuple[tuple[int, int], ...]
-    special_pair: tuple[bool, ...]
-    missing: tuple[int | None, ...]
     k_s: int
     k_n: int
 
@@ -187,19 +180,15 @@ def compute_classes(g: WeightedGraph, m: Antimatching) -> ClassPartition:
     :class:`NonMaximalAntimatchingWitness`.
     """
     covered = m.covered_mask
-    clique = m.residual_clique
-
+    # the clique ascends, so the groups come in first-member order
     groups: dict[int, list[int]] = {}
-    for v in clique:
+    for v in m.residual_clique:
         groups.setdefault(g.adjacency[v] & covered, []).append(v)
-    ordered = sorted(groups.items(), key=lambda kv: kv[1][0])
-
-    pairs = tuple(tuple(sorted(p)) for p in m.pairs)
-    special_pair = []
-    missing: list[int | None] = []
+    ordered = list(groups.items())
     class_special = [False] * len(ordered)
+    k_s = 0
 
-    for x, y in pairs:
+    for x, y in m.pairs:
         bx, by = 1 << x, 1 << y
         miss_x = [i for i, (sig, _) in enumerate(ordered) if not sig & bx]
         miss_y = [i for i, (sig, _) in enumerate(ordered) if not sig & by]
@@ -216,20 +205,11 @@ def compute_classes(g: WeightedGraph, m: Antimatching) -> ClassPartition:
                 )
             for i in blind:
                 class_special[i] = True
-            special_pair.append(True)
-            missing.append(None)
-        else:
-            if miss_x and miss_y:
-                raise NonMaximalAntimatchingWitness(
-                    f"classes miss opposite endpoints of ({x},{y})"
-                )
-            special_pair.append(False)
-            if miss_x:
-                missing.append(x)
-            elif miss_y:
-                missing.append(y)
-            else:
-                missing.append(None)
+            k_s += 1
+        elif miss_x and miss_y:
+            raise NonMaximalAntimatchingWitness(
+                f"classes miss opposite endpoints of ({x},{y})"
+            )
 
     classes = tuple(
         NeighborhoodClass(
@@ -239,16 +219,7 @@ def compute_classes(g: WeightedGraph, m: Antimatching) -> ClassPartition:
         )
         for i, (sig, vs) in enumerate(ordered)
     )
-    k_s = sum(special_pair)
-    return ClassPartition(
-        clique=clique,
-        classes=classes,
-        pairs=pairs,
-        special_pair=tuple(special_pair),
-        missing=tuple(missing),
-        k_s=k_s,
-        k_n=len(pairs) - k_s,
-    )
+    return ClassPartition(classes=classes, k_s=k_s, k_n=m.size - k_s)
 
 
 def truncate_classes(
@@ -326,14 +297,14 @@ def audit_claims(
     bounds presuppose a graph with no universal vertex and a maximum
     antimatching, as produced by :func:`kernelize`.
     """
-    sigs = {frozenset(c.signature) for c in part.classes}
+    sigs = {c.signature for c in part.classes}
     if len(sigs) != len(part.classes):
         raise ClaimViolation("class_partition", "duplicate neighborhood signature")
 
     special_classes = 0
     for cls in part.classes:
         blind = any(
-            x not in cls.signature and y not in cls.signature for x, y in part.pairs
+            x not in cls.signature and y not in cls.signature for x, y in m.pairs
         )
         special_classes += blind
         if blind != cls.special:

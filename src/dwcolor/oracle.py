@@ -22,9 +22,9 @@ DEFAULT_CAP = 22
 _INF = float("inf")
 
 
-def _check_cap(g: WeightedGraph, cap: int) -> None:
-    if g.n > cap:
-        raise InstanceTooLarge(f"n={g.n} exceeds cap {cap}")
+def _check_cap(g: WeightedGraph) -> None:
+    if g.n > DEFAULT_CAP:
+        raise InstanceTooLarge(f"n={g.n} exceeds cap {DEFAULT_CAP}")
 
 
 def _peel_pass(g: WeightedGraph, src: list, dst: list) -> None:
@@ -71,15 +71,15 @@ def _peel_pass(g: WeightedGraph, src: list, dst: list) -> None:
         dst[x] = best
 
 
-def sigma_exact(g: WeightedGraph, cap: int = DEFAULT_CAP) -> int:
+def sigma_exact(g: WeightedGraph) -> int:
     """Minimum weight over all proper colorings of ``g``.
 
     One ascending pass over all 2^n vertex subsets (see ``_peel_pass``). It
     visits at most 3^n/2 submasks, on an edgeless graph, and far fewer on
-    dense ones. ``cap`` can only lower ``DEFAULT_CAP``: past it the 2^n-entry
-    tables take gigabytes.
+    dense ones. Graphs over ``DEFAULT_CAP`` vertices are refused: past it the
+    2^n-entry tables take gigabytes.
     """
-    _check_cap(g, min(cap, DEFAULT_CAP))
+    _check_cap(g)
     n = g.n
     if n == 0:
         return 0
@@ -88,16 +88,14 @@ def sigma_exact(g: WeightedGraph, cap: int = DEFAULT_CAP) -> int:
     return table[-1]
 
 
-def sigma_exact_bounded(
-    g: WeightedGraph, r: int, cap: int = DEFAULT_CAP
-) -> int | None:
+def sigma_exact_bounded(g: WeightedGraph, r: int) -> int | None:
     """Minimum coloring weight using at most ``r`` classes, or None if the
     graph has no coloring with that few classes.
 
     Layer i holds the optimum over colorings with at most i classes; each
     layer is one ``_peel_pass`` reading the previous one.
     """
-    _check_cap(g, min(cap, DEFAULT_CAP))
+    _check_cap(g)
     if r < 1:
         raise PreconditionViolated(f"r={r} must be >= 1")
     n = g.n
@@ -112,9 +110,9 @@ def sigma_exact_bounded(
     return None if prev[-1] == _INF else int(prev[-1])
 
 
-def decide_dual_oracle(g: WeightedGraph, k: int, cap: int = DEFAULT_CAP) -> bool:
+def decide_dual_oracle(g: WeightedGraph, k: int) -> bool:
     """True iff some proper coloring saves at least ``k`` below the vertex-weight sum."""
     if k < 1:
         raise PreconditionViolated(f"k={k} must be >= 1")
-    return sigma_exact(g, cap) <= g.weight_sum - k
+    return sigma_exact(g) <= g.weight_sum - k
 

@@ -6,7 +6,7 @@ import os
 import resource
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dwcolor
+from dwcolor import cli
 from dwcolor.cli import main
 from dwcolor.formats import parse_dwc, serialize_dwc
 from dwcolor.fpt import DualInstance
+from dwcolor.instances import bench_instance
 from dwcolor.kernel import kernelize
 from dwcolor.graph import Coloring, build_graph
 from conftest import absorb_heavy_graph, complete_graph
@@ -57,7 +59,7 @@ def run_cli(args):
 
 
 def test_solve_yes_exit_zero(p3_file, capsys):
-    assert main(["solve", p3_file, "--fpt"]) == 0
+    assert main(["solve", p3_file]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["answer"] == "yes"
     assert out["sigma"] is None  # pair-merge branch leaves sigma unknown
@@ -91,6 +93,38 @@ def test_solve_checks_certificate_before_printing(k2_file, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: certificate: ") and "Traceback" not in err
+
+
+def test_solve_both_checks_sigma(tmp_path, capsys, monkeypatch):
+    # a table sigma one too high, with the verdict left as it was
+    real = cli.solve_dual
+
+    def off_by_one(inst):
+        ans = real(inst)
+        return replace(ans, sigma=ans.sigma + 1)
+
+    inst = bench_instance(12, 3, 1)
+    assert real(inst).sigma is not None  # the table branch decides it
+    path = tmp_path / "b12.dwc"
+    path.write_text(serialize_dwc(inst))
+    monkeypatch.setattr(cli, "solve_dual", off_by_one)
+    assert main(["solve", str(path), "--both"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: solver disagreement") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["solve", "--fpt"], ["solve", "--oracle", "--cap", "2"], ["audit", "--claims"]],
+)
+def test_removed_options_exit_two(p3_file, capsys, args):
+    command, *flags = args
+    with pytest.raises(SystemExit) as exc:
+        main([command, p3_file, *flags])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: unrecognized arguments" in err
 
 
 def test_solve_parse_error_exit_two(tmp_path, capsys):
@@ -228,16 +262,11 @@ def test_kernelize_tight_instance_untouched(tmp_path, capsys):
     assert out["bound"] == {"value": 10, "limit": 10}
 
 
-def test_solve_oracle_cap_exceeded_exit_two(p3_file, capsys):
-    assert main(["solve", p3_file, "--oracle", "--cap", "2"]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
 def test_solve_oracle_cap_cannot_raise_table_bound(tmp_path, capsys):
-    # a raised --cap would let the oracle commit 2^n-entry tables
+    # the oracle refuses 23 vertices before it commits 2^n-entry tables
     path = tmp_path / "k23.dwc"
     path.write_text(serialize_dwc(DualInstance(complete_graph(23), 1)))
-    assert main(["solve", str(path), "--oracle", "--cap", "64"]) == 2
+    assert main(["solve", str(path), "--oracle"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 
@@ -280,7 +309,7 @@ def test_audit_claims(tmp_path, capsys):
     text = capsys.readouterr().out
     path = tmp_path / "tg.dwc"
     path.write_text(text)
-    assert main(["audit", str(path), "--claims"]) == 0
+    assert main(["audit", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["passed"] is True
     assert out["report"]["normal_class_count"] == 3
@@ -294,7 +323,7 @@ def test_audit_claims_reports_the_kernel_round(tmp_path, capsys):
     text += "e 1 3\ne 1 4\ne 1 5\ne 3 4\ne 3 5\ne 4 5\n"
     path = tmp_path / "class.dwc"
     path.write_text(text)
-    assert main(["audit", str(path), "--claims"]) == 0
+    assert main(["audit", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     report = out["report"]
     assert report["largest_class"] == 3 > report["antimatching_size"] == 1

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -14,6 +15,7 @@ from dwcolor import (
     coloring_weight,
     decide_dual_oracle,
     is_proper,
+    is_stable,
     sigma_exact,
 )
 from dwcolor.fpt import (
@@ -105,26 +107,43 @@ def test_dp_rejects_non_maximum_antimatching():
         build_dp(p3, Antimatching((), 3))
 
 
-def test_table_layer_monotonicity():
+def _absorb_reference(g, clique):
+    """Top-down absorb table: ``best(0, U)`` is the least extra weight at
+    which the colors of ``clique``, in turn, absorb exactly the vertex set U.
+    Each takes a stable set of its non-neighbours out of what remains of U,
+    at its heaviest weight above the clique vertex's own, or takes nothing."""
+
+    @functools.cache
+    def best(i, rest):
+        if i == len(clique):
+            return 0 if not rest else float("inf")
+        v = clique[i]
+        free = [u for u in rest if not g.has_edge(u, v)]
+        out = best(i + 1, rest)
+        for r in range(1, len(free) + 1):
+            for s in itertools.combinations(free, r):
+                if is_stable(g, s):
+                    extra = max(0, max(g.weights[u] for u in s) - g.weights[v])
+                    out = min(out, extra + best(i + 1, rest - frozenset(s)))
+        return out
+
+    return best
+
+
+def test_absorb_table_matches_top_down_reference():
     rng = random.Random(61)
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 9), 0.75)
         am = maximum_antimatching(g)
-        t = build_dp(g, am, keep_layers=True)
-        fresh, *absorb = t.layers
-        assert fresh == t.fresh and fresh[0] == t.base
-        assert len(absorb) == len(t.absorbers) + 1
+        t = build_dp(g, am)
+        assert t.fresh[0] == t.base
         size = len(t.absorb)
         assert size == 1 << _blind_union(g, am).bit_count()
-        for i in range(1, len(absorb)):
-            for u in range(size):
-                assert absorb[i][u] <= absorb[i - 1][u]
-        assert absorb[-1] == t.absorb
-        for layer in absorb:
-            assert layer[0] == 0
+        ref = _absorb_reference(g, am.residual_clique)
+        for u in range(size):
+            assert t.absorb[u] == ref(0, frozenset(t.ground[j] for j in bits(u)))
         full = (1 << len(t.ground)) - 1
-        best = min(t.absorb[u] + fresh[full ^ u] for u in range(size))
-        assert best == t.sigma
+        assert min(t.absorb[u] + t.fresh[full ^ u] for u in range(size)) == t.sigma
 
 
 def _blind_union(g, am):

@@ -93,7 +93,6 @@ def test_compute_classes_simple():
     assert len(part.classes) == 1
     assert part.classes[0].vertices == (1,)
     assert part.classes[0].signature == {0, 2}
-    assert part.missing == (None,)
 
 
 def test_compute_classes_detects_non_maximum():
@@ -197,8 +196,6 @@ def test_audit_counts_on_structured_instance():
     assert report.class_count == 1
     assert report.special_class_count == 0 and part.k_s == 0
     assert report.normal_class_count == 1 <= 2 ** part.k_n - 1
-    # the single residual vertex misses exactly one endpoint of one pair
-    assert sum(v is not None for v in part.missing) == 1
 
 
 # sha256 of repr(KernelTrace) from kernelize, which spells out every field

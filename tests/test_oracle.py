@@ -50,17 +50,14 @@ def test_empty_graph():
 
 
 def test_cap():
-    g = build_graph(5, [], [1] * 5)
-    with pytest.raises(InstanceTooLarge):
-        sigma_exact(g, cap=4)
-    with pytest.raises(InstanceTooLarge):
-        sigma_exact_bounded(g, 2, cap=4)
-    # a cap above the default cannot raise the 2^n table bound
+    # the cap is fixed: past it the 2^n-entry tables take gigabytes
     big = complete_graph(DEFAULT_CAP + 1)
     with pytest.raises(InstanceTooLarge):
-        sigma_exact(big, cap=64)
+        sigma_exact(big)
     with pytest.raises(InstanceTooLarge):
-        sigma_exact_bounded(big, 2, cap=64)
+        sigma_exact_bounded(big, 2)
+    with pytest.raises(InstanceTooLarge):
+        decide_dual_oracle(big, 1)
 
 
 def test_against_partition_bruteforce():
