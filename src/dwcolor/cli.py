@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -209,6 +210,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dwcolor",

@@ -19,10 +19,12 @@ by serialize is the identity on canonical files.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .errors import FormatError
 from .fpt import DualInstance
-from .graph import build_graph, higher_neighbors
+from .graph import WeightedGraph, higher_neighbors
+from .graph import build_graph  # not called here; perfbench's tracer wraps formats.build_graph
 from .instances import IntervalRepresentation, SetCoverInstance, intervals_to_graph
 
 # The problem line ``p <tag> <field>...`` of each format: its integer fields,
@@ -37,14 +39,19 @@ _LAYOUTS = {
 # the bytes a file may hold: printable ASCII, tab, CR and LF
 _ALLOWED = bytes(range(0x20, 0x7F)) + b"\t\r\n"
 
+# the most characters a piece of text is split or checked in at once, so that
+# reading a file holds its rows a piece at a time, not all together
+_PIECE = 1 << 15
 
-def _rows(text: str):
+
+def _rows(text: str) -> Iterator[list[str]]:
     """Yield ``[line number, token, ...]`` for each line that is not a comment;
     lines end at a newline only. The text is split in pieces that end before a
-    newline and double in size, so a caller that stops early splits little."""
+    newline and double in size up to about ``_PIECE`` characters, so a caller
+    that stops early splits little and one that reads on holds one piece."""
     start = lineno = 0
     while start < len(text):
-        end = text.find("\n", 2 * start + 256) + 1 or len(text) + 1
+        end = text.find("\n", start + min(start + 256, _PIECE)) + 1 or len(text) + 1
         for lineno, raw in enumerate(text[start : end - 1].split("\n"), lineno + 1):
             toks = raw.split()
             if toks and toks[0] != "c":
@@ -55,21 +62,25 @@ def _rows(text: str):
 def _check_characters(text: str) -> None:
     """Reject any character but printable ASCII, tab, CR and LF, so that no
     Unicode or control whitespace can split fields or lines. The text is
-    checked in one pass; the offending line is looked for only on failure."""
-    if text.isascii() and not text.encode().translate(None, _ALLOWED):
+    checked ``_PIECE`` characters at a time; the offending line is looked for
+    only on failure."""
+    if text.isascii() and not any(
+        text[i : i + _PIECE].encode().translate(None, _ALLOWED)
+        for i in range(0, len(text), _PIECE)
+    ):
         return
     bad = re.search(r"[^ -~\t\r\n]", text)
     lineno = text.count("\n", 0, bad.start()) + 1
     raise FormatError(f"line {lineno}: character {bad.group()!r} is not allowed")
 
 
-def _check_integers(text: str, rows: list[list[str]]) -> None:
+def _check_integers(text: str) -> None:
     """Reject a field that is not ASCII decimal with an optional leading '-'.
     Non-ASCII text fails :func:`_check_characters`, and on other text without
     '+' or '_' ``int`` accepts exactly those, so only the rest is read field by field."""
     if "+" not in text and "_" not in text:
         return
-    for row in rows:
+    for row in _rows(text):
         for tok in row[3 if row[1] == "p" else 2:]:
             if not (tok.isascii() and tok.removeprefix("-").isdigit()):
                 raise FormatError(f"line {row[0]}: field {tok!r} is not an integer")
@@ -96,32 +107,34 @@ def detect_format(text: str) -> str:
     return kind
 
 
-def _read(text: str, tag: str) -> tuple[list[list[str]], list[int]]:
-    """The rows of a ``tag`` file and its problem line's fields, checked
-    (down to the count of body lines) before anything is allocated."""
-    rows = list(_rows(text))
-    _check_integers(text, rows)
+def _read(text: str, tag: str) -> tuple[list[int], Iterator[list[str]]]:
+    """The problem line's fields of a ``tag`` file, checked (down to the count
+    of body lines) before anything is allocated, and an iterator over the rows
+    that follow it. The declared body lines are bounded by the lines after the
+    problem line, comments included; a parser that finds fewer rows says so
+    when they run out."""
+    _check_integers(text)
     _check_characters(text)
+    kind = detect_format(text)
+    rows = _rows(text)
+    head = next(rows)
     names, body = _LAYOUTS[tag]
-    if detect_format(text) != tag or len(rows[0]) != 3 + len(names):
+    lineno = head[0]
+    if kind != tag or len(head) != 3 + len(names):
         layout = " ".join(f"<{name}>" for name in names)
-        raise FormatError(f"line {rows[0][0]}: expected 'p {tag} {layout}'")
-    lineno = rows[0][0]
+        raise FormatError(f"line {lineno}: expected 'p {tag} {layout}'")
     lows = [0] * (len(names) - 1) + [1]
-    fields = [_int(t, lineno, name, low) for t, name, low in zip(rows[0][3:], names, lows)]
+    fields = [_int(t, lineno, name, low) for t, name, low in zip(head[3:], names, lows)]
     declared = sum(v for name, v in zip(names, fields) if name in body)
-    if declared > len(rows) - 1:
-        raise FormatError(
-            f"line {lineno}: {declared} body lines declared, {len(rows) - 1} follow"
-        )
-    return rows, fields
+    follow = text.count("\n") + (not text.endswith("\n")) - int(lineno)
+    if declared > follow:
+        raise FormatError(f"line {lineno}: {declared} body lines declared, {follow} follow")
+    return fields, rows
 
 
 def _slot(filled: list, row: list[str], what: str) -> int:
     """The 0-based slot of the numbered line ``<tag> <id> ...`` in ``row``:
-    its id lies in 1..len(filled) and no earlier line filled it. As the
-    problem line declares no more body lines than follow, a body of numbered
-    lines that all pass this misses no id."""
+    its id lies in 1..len(filled) and no earlier line filled it."""
     lineno = row[0]
     i = _int(row[2], lineno, what) - 1
     if not 0 <= i < len(filled):
@@ -132,10 +145,11 @@ def _slot(filled: list, row: list[str], what: str) -> int:
 
 
 def parse_dwc(text: str) -> DualInstance:
-    rows, (n, m, k) = _read(text, "dwc")
+    (n, m, k), rows = _read(text, "dwc")
     weights: list[int | None] = [None] * n
-    edges: list[tuple[int, int]] = []
-    for row in rows[1:]:
+    adj = [0] * n
+    edges = 0
+    for row in rows:
         lineno, tag = row[0], row[1]
         if tag == "w":
             if len(row) != 4:
@@ -149,16 +163,19 @@ def parse_dwc(text: str) -> DualInstance:
             v = _int(row[3], lineno, "vertex")
             if not (1 <= u < v <= n):
                 raise FormatError(f"line {lineno}: edge ({u},{v}) needs 1 <= u < v <= {n}")
-            edges.append((u - 1, v - 1))
+            bit = 1 << (v - 1)
+            if adj[u - 1] & bit:
+                raise FormatError(f"line {lineno}: duplicate edge ({u},{v})")
+            adj[u - 1] |= bit
+            adj[v - 1] |= 1 << (u - 1)
+            edges += 1
         else:
             raise FormatError(f"line {lineno}: unexpected directive {tag!r}")
-    # n + m body lines or more: m edge lines leave a weight line per vertex
-    if len(edges) != m:
-        got = f"{len(rows) - 1 - len(edges)} and {len(edges)}"
-        raise FormatError(f"expected {n} weight and {m} edge lines, got {got}")
-    if len(set(edges)) != len(edges):
-        raise FormatError("duplicate edge line")
-    return DualInstance(build_graph(n, edges, weights), k)
+    weighted = n - weights.count(None)
+    if (weighted, edges) != (n, m):
+        raise FormatError(f"expected {n} weight and {m} edge lines, got {weighted} and {edges}")
+    # the rows are symmetric and loop-free by the checks above
+    return DualInstance(WeightedGraph(n, tuple(adj), tuple(weights)), k)
 
 
 def serialize_dwc(inst: DualInstance) -> str:
@@ -176,10 +193,10 @@ def serialize_dwc(inst: DualInstance) -> str:
 
 
 def parse_interval(text: str) -> tuple[DualInstance, IntervalRepresentation]:
-    rows, (n, k) = _read(text, "interval")
+    (n, k), rows = _read(text, "interval")
     ivs: list[tuple[int, int] | None] = [None] * n
     weights: list[int] = [0] * n
-    for row in rows[1:]:
+    for row in rows:
         lineno = row[0]
         if row[1] != "i" or len(row) != 6:
             raise FormatError(f"line {lineno}: expected 'i <v> <left> <right> <weight>'")
@@ -190,6 +207,8 @@ def parse_interval(text: str) -> tuple[DualInstance, IntervalRepresentation]:
             raise FormatError(f"line {lineno}: interval [{left},{right}] is empty")
         ivs[v] = (left, right)
         weights[v] = _int(row[5], lineno, "weight", 1)
+    if None in ivs:
+        raise FormatError(f"expected {n} interval lines, got {n - ivs.count(None)}")
     rep = IntervalRepresentation(tuple(ivs), tuple(weights))
     return DualInstance(intervals_to_graph(rep), k), rep
 
@@ -204,9 +223,9 @@ def serialize_interval(rep: IntervalRepresentation, k: int) -> str:
 
 
 def parse_setcover(text: str) -> SetCoverInstance:
-    rows, (universe, nsets, ell) = _read(text, "setcover")
+    (universe, nsets, ell), rows = _read(text, "setcover")
     family: list[frozenset[int] | None] = [None] * nsets
-    for row in rows[1:]:
+    for row in rows:
         lineno = row[0]
         if row[1] != "s" or len(row) < 4:
             raise FormatError(f"line {lineno}: expected 's <set-id> <elem>...'")
@@ -218,6 +237,8 @@ def parse_setcover(text: str) -> SetCoverInstance:
                 raise FormatError(f"line {lineno}: element {e} not in 1..{universe}")
             elems.add(e - 1)
         family[sid] = frozenset(elems)
+    if None in family:
+        raise FormatError(f"expected {nsets} set lines, got {nsets - family.count(None)}")
     return SetCoverInstance(universe, tuple(family), ell)
 
 

@@ -55,7 +55,8 @@ class WeightedGraph:
     ``adjacency[v]`` is the bitmask of neighbors of ``v``. Instances are
     expected to come from :func:`build_graph`, which validates its input, or
     from code that builds symmetric loop-free rows directly (the seeded
-    generators); the dataclass itself trusts its fields.
+    generators, and ``formats.parse_dwc``, which checks each edge line as it
+    sets the two bits); the dataclass itself trusts its fields.
     """
 
     n: int

@@ -377,7 +377,9 @@ def test_cli_import_leaves_concurrent_futures_unloaded():
 # Inputs that once broke the exit-code contract: header k values whose
 # kernel bound has 10^5 bits or could not be computed in memory, a split
 # bound k^201 of 4600 digits, a set-cover universe of 300,000, negative
-# header counts, non-UTF-8 bytes, a missing file and a removed subcommand.
+# header counts, non-UTF-8 bytes, a missing file and a removed subcommand;
+# and a 178 KB file whose last line repeats an edge, read in several pieces.
+_LONG = serialize_dwc(bench_instance(200, 7, 1))
 HOSTILE = {
     "k1e5.dwc": "p dwc 3 0 100000\nw 1 1\nw 2 1\nw 3 1\n",
     "k1e23.dwc": f"p dwc 3 0 {10**23}\nw 1 1\nw 2 1\nw 3 1\n",
@@ -386,6 +388,7 @@ HOSTILE = {
     "neg.int": "p interval -2 1\n",
     "neg.dwc": "p dwc -1 0 1\n",
     "latin1.dwc": "p dwc 2 0 1\nw 1 \xff\n",
+    "late-dup.dwc": _LONG + _LONG.splitlines()[-1] + "\n",
 }
 
 
@@ -405,6 +408,7 @@ def _limit_memory():
         ["audit", "neg.int", "--interval"],
         ["solve", "neg.dwc"],
         ["kernelize", "latin1.dwc"],
+        ["solve", "late-dup.dwc"],
         ["solve", "missing.dwc"],
         ["bench", "fpt-scaling"],
     ],
@@ -425,3 +429,7 @@ def test_exit_code_contract_on_hostile_inputs(tmp_path, args):
     # only solve answers "no" (exit 1); every other command succeeds or fails
     assert proc.returncode in ((0, 1, 2) if args[0] == "solve" else (0, 2))
     assert "Traceback" not in proc.stderr
+    if args[1] == "late-dup.dwc":
+        last = HOSTILE["late-dup.dwc"].count("\n")
+        assert proc.returncode == 2
+        assert f"error: line {last}: duplicate edge" in proc.stderr

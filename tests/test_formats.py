@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,12 @@ from dwcolor.formats import (
     serialize_setcover,
 )
 from dwcolor.fpt import DualInstance
-from dwcolor.instances import SetCoverInstance, IntervalRepresentation, intervals_to_graph
+from dwcolor.instances import (
+    IntervalRepresentation,
+    SetCoverInstance,
+    bench_instance,
+    intervals_to_graph,
+)
 
 
 DWC = """c a comment
@@ -52,7 +58,6 @@ def test_dwc_errors():
         "p dwc 2 0 1\nw 1 1\nw 1 2\n",
         "p dwc 2 1 1\nw 1 1\nw 2 1\ne 2 1\n",
         "p dwc 2 1 1\nw 1 1\nw 2 1\ne 1 1\n",
-        "p dwc 2 2 1\nw 1 1\nw 2 1\ne 1 2\ne 1 2\n",
         "p dwc 2 1 1\nw 1 1\nw 2 x\ne 1 2\n",
         "p dwc 2 1 1\nw 1 1\nw 2 0\ne 1 2\n",
         "p dwc 2 0 1\nw 1 1\nw 2 1\nq 1\n",
@@ -66,6 +71,37 @@ def test_dwc_errors():
     for text in ["p dwc -1 0 1\n", "c x\np dwc 2 -1 1\nw 1 1\nw 2 1\n"]:
         with pytest.raises(FormatError, match=r"^line [12]: (n|m)=-1 must be >= 0"):
             parse_dwc(text)
+    # a repeated edge is refused on the line that repeats it
+    with pytest.raises(FormatError, match=r"^line 5: duplicate edge \(1,2\)"):
+        parse_dwc("p dwc 2 2 1\nw 1 1\nw 2 1\ne 1 2\ne 1 2\n")
+
+
+def test_dwc_parse_memory_does_not_grow_with_the_file():
+    # rows are read a piece at a time and adjacency rows filled as they
+    # arrive, so no per-line list of the whole file is ever held
+    text = serialize_dwc(bench_instance(800, 6, 1))
+    tracemalloc.start()
+    try:
+        parse_dwc(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) / 4
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_dwc_line_numbers_hold_past_the_piece_cap(eol):
+    # a file of several capped pieces; its last line is the one at fault
+    text = serialize_dwc(bench_instance(200, 7, 1))
+    last = text.count("\n") + 1
+    edge = text.splitlines()[-1]
+    u, v = edge.split()[1:]
+    for bad, message in [
+        (text + "x 1 2\n", rf"^line {last}: unexpected directive 'x'"),
+        (text + edge + "\n", rf"^line {last}: duplicate edge \({u},{v}\)"),
+    ]:
+        with pytest.raises(FormatError, match=message):
+            parse_dwc(bad.replace("\n", eol))
 
 
 INTERVAL = """p interval 3 2
