@@ -14,11 +14,16 @@ fresh classes cover, and the two costs add:
     sigma(G, w) = min over U of D: absorb[U] + fresh[covered - U]
 
 Both tables index the covered vertices by one bit order, D first, so a
-subset of D is just a mask below 2^d. ``fresh`` is a table over the 2^t
-subsets of the covered vertices (about 3^t/2 submask visits at worst, far
-fewer on dense grounds); ``absorb`` is a table over the first 2^d of them,
-one layer per clique vertex with a covered non-neighbour (at most 3^d
-visits each). Both stay within the 9^k bound, since d <= t = 2(k-1).
+subset of D is just a mask below 2^d. ``absorb`` is a table over the 2^d
+subsets of D, one layer per clique vertex with a covered non-neighbour (at
+most 3^d submask visits each), filled first. ``fresh`` is then evaluated
+top-down, only at the sets covered - U with absorb[U] finite and the sets
+they reach: a set's heaviest vertex j peels off with one *maximal* stable
+class of that set containing j (Lawler 1976), found by Bron-Kerbosch. The
+work is the reached sets times their maximal classes, at most 3^(c/3) for
+c candidates (Moon and Moser 1965), so at worst about 2.45^t and one step
+per reached set on dense grounds. Both stay within the 9^k bound, since
+d <= t = 2(k-1).
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ from .errors import InstanceTooLarge, PreconditionViolated
 from .graph import Coloring, WeightedGraph, bits, is_clique, relabeler
 from .matching import Antimatching, maximum_antimatching
 
-# Widest table build_dp allocates: 2^22 states, the oracle's cap.
+# Most covered vertices build_dp takes, the oracle's cap. It bounds memory: a
+# ground that is all D gets a 2^t absorb table, and fresh may reach as many
+# sets.
 MAX_TABLE_BITS = 22
 _INF = float("inf")
 
@@ -76,10 +83,11 @@ class DPTable:
     ``ground`` lists the antimatching-covered vertices, those of D first and
     then the rest, each part ascending; bit j of a mask stands for
     ``ground[j]``, so the subsets of D are the masks below ``len(absorb)``
-    = 2^d. ``clique_order`` lists the residual clique. ``fresh[X]`` is
-    ``base`` (the clique colors as singletons) plus the cheapest cover of X
-    by classes without clique vertices; ``fresh_parents[X]`` is the class
-    that covers X's lowest vertex.
+    = 2^d. ``clique_order`` lists the residual clique. ``fresh`` holds only
+    the sets X the final min reached: ``fresh[X]`` is ``base`` (the clique
+    colors as singletons) plus the cheapest cover of X by classes without
+    clique vertices, and ``fresh_parents[X]`` (X nonempty) is a class of
+    such a cover holding X's heaviest vertex, whose rest is again a key.
 
     ``absorbers`` are the clique vertices with a covered non-neighbour, in
     layer order. ``absorb[U]`` is the least extra weight at which their
@@ -91,8 +99,8 @@ class DPTable:
     ground: tuple[int, ...]
     clique_order: tuple[int, ...]
     base: int
-    fresh: list[int]
-    fresh_parents: array
+    fresh: dict[int, int]
+    fresh_parents: dict[int, int]
     absorbers: tuple[int, ...]
     absorb: list[int]
     absorb_parents: list[array]
@@ -122,9 +130,11 @@ def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
     (``InstanceTooLarge`` otherwise, before any table is allocated). In any
     proper coloring each clique color absorbs a stable set of its vertex's
     covered non-neighbours and fresh classes cover the rest, so sigma is the
-    least ``absorb[U] + fresh[covered - U]`` over the subsets U of D. Work
-    is at most 3^t/2 submask visits for ``fresh`` plus 3^d per absorber,
-    for t covered vertices and the d of them in D.
+    least ``absorb[U] + fresh[covered - U]`` over the subsets U of D with
+    finite ``absorb[U]``. Work is 3^d submask visits per absorber, for the
+    d covered vertices in D, plus, for ``fresh``, the reached sets times
+    their maximal classes: one class per set on dense grounds, at most
+    about 2.45^t steps in all for t covered vertices.
     """
     covered = m.covered_mask
     t = covered.bit_count()
@@ -138,8 +148,7 @@ def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
             "uncovered vertices do not induce a clique; antimatching not maximum"
         )
     w = g.weights
-    size = 1 << t
-    full = size - 1
+    full = (1 << t) - 1
 
     # clique vertices without a covered non-neighbour stay singletons, already
     # paid for in base, and get no absorb layer
@@ -162,16 +171,14 @@ def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
     wg = [w[v] for v in ground]
     base = sum(w[v] for v in clique)
 
-    # one pass in increasing X fills the stability and class-weight tables
-    # (maxw only on stable sets, the only ones read) and fresh: the class of
-    # X's lowest vertex j lies within j and the rest of X j is not adjacent to
-    stab = bytearray(size)
+    # stability and class-weight tables over the subsets of D, the only
+    # classes the absorb layers price (maxw only on stable sets, the only
+    # ones read), in one increasing pass from X minus its lowest vertex
+    dsize = 1 << d
+    stab = bytearray(dsize)
     stab[0] = 1
-    maxw = [0] * size
-    fresh = [0] * size
-    fresh[0] = base
-    fresh_parents = array("i", [0]) * size
-    for x in range(1, size):
+    maxw = [0] * dsize
+    for x in range(1, dsize):
         low = x & -x
         j = low.bit_length() - 1
         rest = x ^ low
@@ -179,29 +186,8 @@ def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
             stab[x] = 1
             mw = maxw[rest]
             maxw[x] = mw if mw > wg[j] else wg[j]
-        cand = rest & ~conflict[j]
-        if not cand:  # j is adjacent to the rest of X: a singleton class
-            fresh[x] = fresh[rest] + wg[j]
-            fresh_parents[x] = low
-            continue
-        best = _INF
-        best_s = 0
-        s = cand
-        while True:
-            sub = s | low
-            if stab[sub]:
-                c = fresh[x ^ sub] + maxw[sub]
-                if c < best:
-                    best = c
-                    best_s = sub
-            if not s:
-                break
-            s = (s - 1) & cand
-        fresh[x] = best
-        fresh_parents[x] = best_s
 
     # absorb: one layer per absorber over the 2^d subsets of D
-    dsize = 1 << d
     absorb = [_INF] * dsize
     absorb[0] = 0
     absorb_parents = []
@@ -232,8 +218,44 @@ def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
                 s = (s - 1) & free
         absorb_parents.append(par)
 
+    # fresh, top-down over the sets the final min reaches: the class of X's
+    # heaviest vertex j costs w_j whatever else it holds, and fresh only
+    # falls on subsets, so that class may be taken maximal among the stable
+    # subsets of X containing j
+    heavy = sorted(range(t), key=lambda j: (-wg[j], j))
+    allowed = [full ^ conflict[j] ^ (1 << j) for j in range(t)]
+    fresh = {0: base}
+    fresh_parents = {}
+
+    def cover(x: int) -> int:
+        got = fresh.get(x)
+        if got is not None:
+            return got
+        for j in heavy:
+            if x >> j & 1:
+                break
+        low = 1 << j
+        rest = x ^ low
+        cand = rest & allowed[j]
+        # a stable candidate set is the one maximal class; stab answers for
+        # the subsets of D, and at most one candidate is always stable
+        if cand < dsize and stab[cand] or not cand & (cand - 1):
+            classes = (cand,)
+        else:
+            classes = _maximal_classes(cand, allowed)
+        best = _INF
+        for s in classes:
+            c = cover(rest ^ s)
+            if c < best:
+                best = c
+                best_s = s
+        best += wg[j]
+        fresh[x] = best
+        fresh_parents[x] = best_s | low
+        return best
+
     sigma, split = min(
-        (absorb[u] + fresh[full ^ u], u)
+        (absorb[u] + cover(full ^ u), u)
         for u in range(dsize)
         if absorb[u] != _INF
     )
@@ -241,6 +263,32 @@ def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
         ground, clique, base, fresh, fresh_parents, tuple(absorbers), absorb,
         absorb_parents, sigma, split,
     )
+
+
+def _maximal_classes(cand: int, allowed: list[int]) -> list[int]:
+    """The maximal subsets of ``cand`` whose members may pairwise share a
+    class (u and v may when bit v of ``allowed[u]`` is set).
+
+    Bron-Kerbosch with Tomita's pivot (Tomita, Tanaka and Takahashi 2006):
+    every maximal set holds the pivot or a vertex the pivot may not share a
+    class with, so only the latter branch. ``[0]`` for an empty ``cand``.
+    """
+    out = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if not p:
+            if not x:
+                out.append(r)
+            return
+        pivot = max(bits(p | x), key=lambda u: (allowed[u] & p).bit_count())
+        for v in bits(p & ~allowed[pivot]):
+            b = 1 << v
+            expand(r | b, p & allowed[v], x & allowed[v])
+            p ^= b
+            x |= b
+
+    expand(0, cand, 0)
+    return out
 
 
 def extract_certificate(t: DPTable) -> Coloring:

@@ -9,8 +9,12 @@ exact. The cost is at most 3^n/2 submask visits (edgeless graphs) and
 shrinks with density: a complete graph takes one visit per subset.
 Everything else in the package is validated against these routines, so they
 stay deliberately independent of the polynomial solvers: the oracle keeps
-the plain lowest-vertex recurrence, with none of the table's covered/clique
-split.
+the plain bottom-up, lowest-vertex recurrence over every subset and every
+stable class, with none of the table's covered/clique split. The table in
+``fpt`` now runs a different algorithm (top-down over the sets it reaches,
+peeling the heaviest vertex with maximal classes only), so when the two
+agree, as ``test_table_matches_oracle`` checks, neither can be repeating a
+mistake of the other.
 """
 
 from __future__ import annotations

@@ -68,6 +68,22 @@ def random_graph(rng: random.Random, n: int, p: float, wmax: int = 4) -> Weighte
     return build_graph(n, edges, [rng.randint(1, wmax) for _ in range(n)])
 
 
+def join(*parts: WeightedGraph) -> WeightedGraph:
+    """The join of ``parts``: their disjoint union, numbered in order, plus
+    every edge between two parts. A stable set lies inside one part, so the
+    join's sigma is the sum of the parts' sigmas, at any size."""
+    n = sum(p.n for p in parts)
+    full = (1 << n) - 1
+    adj: list[int] = []
+    weights: list[int] = []
+    for p in parts:
+        offset = len(adj)
+        others = full ^ ((1 << p.n) - 1) << offset
+        adj.extend(others | a << offset for a in p.adjacency)
+        weights.extend(p.weights)
+    return WeightedGraph(n, tuple(adj), tuple(weights))
+
+
 def _partitions(items: list[int]):
     """All set partitions, by placing each item into an existing or new block."""
     if not items:

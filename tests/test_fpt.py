@@ -5,7 +5,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dwcolor import (
@@ -26,10 +26,16 @@ from dwcolor.fpt import (
     shortcut_certificate,
     solve_dual,
 )
-from dwcolor.graph import bits
+from dwcolor.graph import bits, induced_subgraph
 from dwcolor.instances import bench_instance
 from dwcolor.matching import Antimatching, maximum_antimatching
-from conftest import absorb_heavy_graph, complete_graph, path_graph, random_graph
+from conftest import (
+    absorb_heavy_graph,
+    complete_graph,
+    join,
+    path_graph,
+    random_graph,
+)
 
 
 def test_instance_validation():
@@ -142,8 +148,10 @@ def test_absorb_table_matches_top_down_reference():
         ref = _absorb_reference(g, am.residual_clique)
         for u in range(size):
             assert t.absorb[u] == ref(0, frozenset(t.ground[j] for j in bits(u)))
+        # fresh holds only the sets the min reaches: those of finite absorb
         full = (1 << len(t.ground)) - 1
-        assert min(t.absorb[u] + t.fresh[full ^ u] for u in range(size)) == t.sigma
+        finite = [u for u in range(size) if t.absorb[u] != float("inf")]
+        assert min(t.absorb[u] + t.fresh[full ^ u] for u in finite) == t.sigma
 
 
 def _blind_union(g, am):
@@ -171,27 +179,33 @@ def test_absorb_layers_only_for_absorbers():
         assert is_proper(g, cert) and coloring_weight(g, cert) == t.sigma
 
 
-# sha256 of repr((sigma, certificate.classes)) from solve_dual, pinned so that
-# a change of the table's bit order cannot change an answer or a certificate
+# (sigma, sha256 of repr((sigma, certificate.classes))) from solve_dual. The
+# sigmas are the optimum and must never change; the digests pin which optimal
+# certificate the table picks, so that a change of its bit order or its
+# recurrence cannot change one unnoticed.
 _PINNED_TABLE_ANSWERS = {
-    (200, 6, 1): "db9b2fd8b24d69d91f06132ab00b05e9a94a4c70a2d77991d3d6f7dde5290eb3",
-    (200, 6, 2): "52340a8fb7313051dff88c306a618f135e509f05ff5ca5f65b386af866a10c25",
-    (200, 7, 1): "65171aa496d054dde05421e1b26443a25262202fb32b59e9f275f84541c587d6",
-    (200, 7, 2): "79f629c7dced6649841efdb5df585258aacbe0ca3a212faa02f38deb8e5089e6",
-    (200, 8, 1): "136a678348702834e5ebc591ae73ca91d893af4f95f57a1ce62824b1a6fab431",
-    (200, 8, 2): "e5ac5f6a7f5fbd3d60f91c9378d1db64269d2cb08daa96698fa7c4037f7f2d45",
-    (240, 3, 1): "df0fa1758003f40415a9d7eb35ebfd90d9948e0155a356b1c8d51994a639fd3f",
-    (320, 4, 1): "d767129c02b2a456e8e9b1c9d3a78772bb5ff74384ce517c158a7239f4105112",
-    (400, 5, 1): "2504de01cb499c8f357a47891a247f51c132bbeebeffed1d14339faf8a390b10",
+    (200, 6, 1): (627, "5eff0f70d70d316a357a80a87012706d1d1fc04de4aa45e1494c408fee0c6071"),
+    (200, 6, 2): (583, "fbddb530c78edb8f071084a85fb4d26b476bf3e35db6cc175d6b013afe6913e3"),
+    (200, 7, 1): (621, "6c1aebd0949ecaf8b38599e8bda181ff7f826cdb23b4abeb910c46fce32859ba"),
+    (200, 7, 2): (593, "2b270fa7937f5e3376cfb8a4d0211f288accc011807ad00db7f9312d3d0f9803"),
+    (200, 8, 1): (609, "835a9668a484bfadd9997a6e8f3a5d2bd96306f6ecdc24afa24c4cec29473417"),
+    (200, 8, 2): (585, "aef909b7fbecb8db08a1066e07884d6ddb63b1ca8091e84ef2199b4af52100ac"),
+    (240, 3, 1): (734, "ac9a1e8886a6516a7bbaf35cc7288b3dcb920ed7bb751aa9d36def206a8f0fc8"),
+    (320, 4, 1): (943, "9ac5603cda0de8b2f0ca63ae5722b3097e1e6a8914b6f0ffaa05e9e6a2242d8f"),
+    (400, 5, 1): (1220, "495aca1a8511fd27b06c9fbf82991034bc01969bfed6398ec4fbcc16149557cb"),
 }
 
 
 @pytest.mark.parametrize("args", sorted(_PINNED_TABLE_ANSWERS))
 def test_bench_answers_are_pinned(args):
-    ans = solve_dual(bench_instance(*args))
-    assert ans.sigma is not None
+    inst = bench_instance(*args)
+    ans = solve_dual(inst)
+    sigma, pinned = _PINNED_TABLE_ANSWERS[args]
+    assert ans.sigma == sigma
+    assert is_proper(inst.graph, ans.certificate)
+    assert coloring_weight(inst.graph, ans.certificate) == sigma
     digest = hashlib.sha256(repr((ans.sigma, ans.certificate.classes)).encode())
-    assert digest.hexdigest() == _PINNED_TABLE_ANSWERS[args]
+    assert digest.hexdigest() == pinned
 
 
 def test_table_too_wide_raises_before_allocating():
@@ -277,6 +291,82 @@ def test_full_ground_absorbed_on_stable_sets():
         t = build_dp(g, maximum_antimatching(g))
         assert t.ground == tuple(range(n - 1)) and len(t.absorb) == 1 << (n - 1)
         assert t.sigma == n == sigma_exact(g)
+
+
+def test_every_reached_fresh_set_is_exact():
+    rng = random.Random(89)
+    for p in (0.1, 0.5, 0.9):
+        for _ in range(25):
+            g = random_graph(rng, rng.randint(1, 10), p)
+            t = build_dp(g, maximum_antimatching(g))
+            assert t.fresh[0] == t.base
+            for x, value in t.fresh.items():
+                part, _ = induced_subgraph(g, [t.ground[j] for j in bits(x)])
+                assert value == t.base + sigma_exact(part)
+                if x:
+                    s = t.fresh_parents[x]
+                    members = [t.ground[j] for j in bits(s)]
+                    assert s & ~x == 0 and is_stable(g, members)
+                    assert value == t.fresh[x ^ s] + max(g.weights[v] for v in members)
+
+
+@pytest.mark.parametrize("n", [14, 20])
+def test_edgeless_even_ground_reaches_few_sets(n):
+    # every vertex is covered and no clique is left, so D is empty and the
+    # whole ground is one maximal class
+    g = build_graph(n, [], [1] * n)
+    am = maximum_antimatching(g)
+    t = build_dp(g, am)
+    assert am.residual_clique == () and len(t.absorb) == 1
+    assert t.sigma == 1
+    assert len(t.fresh) <= len(t.ground) + 1
+    assert extract_certificate(t).classes == (tuple(range(n)),)
+
+
+@st.composite
+def joins(draw):
+    """The join of random parts of at most 9 vertices each and a weighted
+    clique, with at most 20 covered vertices; returns the graph and its
+    sigma, the sum of the parts' exact sigmas and the clique's weight."""
+    parts = []
+    covered = 0
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 9))
+        if covered + n // 2 * 2 > 20:
+            break
+        p = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+        parts.append(random_graph(random.Random(draw(st.integers(0, 2**32))), n, p, 6))
+        covered += n // 2 * 2
+    size = draw(st.integers(0, 30))
+    return _join_case(parts, draw(st.lists(st.integers(1, 6), min_size=size, max_size=size)))
+
+
+def _join_case(parts, clique_weights):
+    sigma = sum(sigma_exact(part) for part in parts) + sum(clique_weights)
+    return join(*parts, complete_graph(len(clique_weights), clique_weights)), sigma
+
+
+@settings(max_examples=150, deadline=None)
+@given(joins())
+@example(  # t = 20, d = 13
+    _join_case(
+        [random_graph(random.Random(s), n, p, 6) for s, n, p in ((3, 9, 0.2), (4, 9, 0.2), (5, 4, 0.0))],
+        [3] * 10,
+    )
+)
+def test_join_sigma_is_the_sum_of_its_parts(case):
+    g, sigma = case
+    am = maximum_antimatching(g)
+    # the final min reaches a fresh set per finite absorb entry, up to 2^d
+    # of them, so d is kept small for speed; t still goes up to 20
+    assume(_blind_union(g, am).bit_count() <= 14)
+    t = build_dp(g, am)
+    assert t.sigma == sigma
+    cert = extract_certificate(t)
+    assert is_proper(g, cert) and coloring_weight(g, cert) == sigma
+    for k in (g.weight_sum - sigma, g.weight_sum - sigma + 1):
+        if k >= 1:
+            assert solve_dual(DualInstance(g, k)).verdict == (sigma <= g.weight_sum - k)
 
 
 def test_certificate_weight_matches_table():
