@@ -36,11 +36,7 @@ from .graph import (
     is_universal,
 )
 from .matching import Antimatching, maximum_antimatching, maximum_matching
-from .oracle import (
-    decide_dual_oracle,
-    sigma_exact,
-    sigma_exact_bounded,
-)
+from .oracle import decide_dual_oracle, sigma_exact
 from .fpt import (
     DPTable,
     DualAnswer,
@@ -86,33 +82,3 @@ from .instances import (
     split_partition,
     vertex_clique_spans,
 )
-
-__all__ = [
-    # errors
-    "ArityMismatch", "ClaimViolation", "DuplicateEdge", "DwcError", "FormatError",
-    "InstanceTooLarge", "InvalidColoring", "InvalidInterval", "InvalidVertex",
-    "InvalidWeight", "MalformedEdge", "MalformedInstance",
-    "NonMaximalAntimatchingWitness", "PreconditionViolated", "TrivialBudget",
-    # graph
-    "Coloring", "WeightedGraph", "build_graph", "coloring_weight", "complement",
-    "induced_subgraph", "is_clique", "is_proper", "is_stable", "is_universal",
-    # matching
-    "Antimatching", "maximum_antimatching", "maximum_matching",
-    # oracle
-    "decide_dual_oracle", "sigma_exact", "sigma_exact_bounded",
-    # fpt
-    "DPTable", "DualAnswer", "DualInstance", "SolveStats", "build_dp",
-    "extract_certificate", "shortcut_certificate", "solve_dual",
-    # kernel
-    "ClaimReport", "ClassPartition", "KernelTrace", "NeighborhoodClass",
-    "RuleApplication", "audit_claims", "canonical_no_instance",
-    "canonical_yes_instance", "compute_classes", "kernel_size_limit", "kernelize",
-    "remove_universal_vertices", "replay_log", "truncate_classes",
-    # instances
-    "IntervalAuditReport", "IntervalRepresentation", "SetCoverInstance",
-    "SplitAuditReport", "SplitProfile", "audit_interval_bounds",
-    "audit_split_bounds", "bench_instance", "gen_tight_general",
-    "gen_tight_interval", "interval_kernel_limit", "intervals_to_graph",
-    "maximal_cliques_ordered", "random_instance", "reduce_setcover",
-    "split_partition", "vertex_clique_spans",
-]

@@ -241,9 +241,3 @@ def parse_setcover(text: str) -> SetCoverInstance:
         raise FormatError(f"expected {nsets} set lines, got {nsets - family.count(None)}")
     return SetCoverInstance(universe, tuple(family), ell)
 
-
-def serialize_setcover(sc: SetCoverInstance) -> str:
-    lines = [f"p setcover {sc.universe} {len(sc.family)} {sc.budget}"]
-    for i, s in enumerate(sc.family):
-        lines.append(f"s {i + 1} " + " ".join(str(e + 1) for e in sorted(s)))
-    return "\n".join(lines) + "\n"

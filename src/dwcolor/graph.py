@@ -76,10 +76,6 @@ class WeightedGraph:
         self._check_vertex(v)
         return bool(self.adjacency[u] >> v & 1)
 
-    def neighbors(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        return list(bits(self.adjacency[v]))
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return self.adjacency[v].bit_count()

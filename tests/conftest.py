@@ -23,6 +23,7 @@ from dwcolor import (
     build_graph,
     intervals_to_graph,
 )
+from dwcolor.graph import bits
 
 
 def _check_at_least(low: int, **values: int) -> None:
@@ -96,16 +97,10 @@ def _partitions(items: list[int]):
         yield [[first]] + part
 
 
-def sigma_partition_bruteforce(g: WeightedGraph, r: int | None = None):
-    """Minimum coloring weight by enumerating all set partitions (n <= ~9).
-
-    With ``r`` given, only partitions into at most r blocks count; returns
-    None when no proper one exists.
-    """
+def sigma_partition_bruteforce(g: WeightedGraph) -> int:
+    """Minimum coloring weight by enumerating all set partitions (n <= ~9)."""
     best = None
     for part in _partitions(list(range(g.n))):
-        if r is not None and len(part) > r:
-            continue
         ok = True
         for block in part:
             for u, v in itertools.combinations(block, 2):
@@ -135,7 +130,7 @@ def chromatic_number_bruteforce(g: WeightedGraph) -> int:
         def place(v: int) -> bool:
             if v == g.n:
                 return True
-            used = {color[u] for u in g.neighbors(v) if color[u] >= 0}
+            used = {color[u] for u in bits(g.adjacency[v]) if color[u] >= 0}
             for c in range(min(r, v + 1)):
                 if c not in used:
                     color[v] = c
@@ -246,6 +241,13 @@ def setcover_bruteforce(sc: SetCoverInstance, cap: int = 20) -> bool:
             if frozenset().union(*combo) == need:
                 return True
     return False
+
+
+def serialize_setcover(sc: SetCoverInstance) -> str:
+    lines = [f"p setcover {sc.universe} {len(sc.family)} {sc.budget}"]
+    for i, s in enumerate(sc.family):
+        lines.append(f"s {i + 1} " + " ".join(str(e + 1) for e in sorted(s)))
+    return "\n".join(lines) + "\n"
 
 
 def random_split_instance(

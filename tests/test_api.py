@@ -1,0 +1,37 @@
+"""The package's public surface, pinned so that a cut or an accidental export
+shows up as a one-line diff."""
+
+from types import ModuleType
+
+import dwcolor
+
+PUBLIC = [
+    "Antimatching", "ArityMismatch", "ClaimReport", "ClaimViolation",
+    "ClassPartition", "Coloring", "DPTable", "DualAnswer", "DualInstance",
+    "DuplicateEdge", "DwcError", "FormatError", "InstanceTooLarge",
+    "IntervalAuditReport", "IntervalRepresentation", "InvalidColoring",
+    "InvalidInterval", "InvalidVertex", "InvalidWeight", "KernelTrace",
+    "MalformedEdge", "MalformedInstance", "NeighborhoodClass",
+    "NonMaximalAntimatchingWitness", "PreconditionViolated", "RuleApplication",
+    "SetCoverInstance", "SolveStats", "SplitAuditReport", "SplitProfile",
+    "TrivialBudget", "WeightedGraph", "audit_claims", "audit_interval_bounds",
+    "audit_split_bounds", "bench_instance", "build_dp", "build_graph",
+    "canonical_no_instance", "canonical_yes_instance", "coloring_weight",
+    "complement", "compute_classes", "decide_dual_oracle", "extract_certificate",
+    "gen_tight_general", "gen_tight_interval", "induced_subgraph",
+    "interval_kernel_limit", "intervals_to_graph", "is_clique", "is_proper",
+    "is_stable", "is_universal", "kernel_size_limit", "kernelize",
+    "maximal_cliques_ordered", "maximum_antimatching", "maximum_matching",
+    "random_instance", "reduce_setcover", "remove_universal_vertices",
+    "replay_log", "shortcut_certificate", "sigma_exact", "solve_dual",
+    "split_partition", "truncate_classes", "vertex_clique_spans",
+]
+
+
+def test_public_names():
+    names = sorted(
+        name
+        for name, value in vars(dwcolor).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    )
+    assert names == PUBLIC

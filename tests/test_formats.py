@@ -13,7 +13,6 @@ from dwcolor.formats import (
     parse_setcover,
     serialize_dwc,
     serialize_interval,
-    serialize_setcover,
 )
 from dwcolor.fpt import DualInstance
 from dwcolor.instances import (
@@ -22,6 +21,7 @@ from dwcolor.instances import (
     bench_instance,
     intervals_to_graph,
 )
+from conftest import serialize_setcover
 
 
 DWC = """c a comment

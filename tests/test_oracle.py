@@ -11,7 +11,6 @@ from dwcolor import (
     decide_dual_oracle,
     induced_subgraph,
     sigma_exact,
-    sigma_exact_bounded,
 )
 from dwcolor.oracle import DEFAULT_CAP
 from conftest import (
@@ -33,20 +32,9 @@ def test_examples():
     assert sigma_exact(p3) == 3
 
 
-def test_bounded():
-    k2 = build_graph(2, [(0, 1)], [3, 5])
-    assert sigma_exact_bounded(k2, 1) is None
-    assert sigma_exact_bounded(k2, 2) == 8
-    p3 = path_graph(3, [1, 2, 1])
-    assert sigma_partition_bruteforce(p3, r=2) == 3
-    assert sigma_exact_bounded(p3, 2) == 3
-    assert sigma_exact_bounded(p3, 1) is None
-
-
 def test_empty_graph():
     g = build_graph(0, [], [])
     assert sigma_exact(g) == 0
-    assert sigma_exact_bounded(g, 1) == 0
 
 
 def test_cap():
@@ -54,8 +42,6 @@ def test_cap():
     big = complete_graph(DEFAULT_CAP + 1)
     with pytest.raises(InstanceTooLarge):
         sigma_exact(big)
-    with pytest.raises(InstanceTooLarge):
-        sigma_exact_bounded(big, 2)
     with pytest.raises(InstanceTooLarge):
         decide_dual_oracle(big, 1)
 
@@ -66,19 +52,6 @@ def test_against_partition_bruteforce():
         g = random_graph(rng, rng.randint(1, 8), rng.random())
         want = sigma_partition_bruteforce(g)
         assert sigma_exact(g) == want
-        r = rng.randint(1, g.n)
-        assert sigma_exact_bounded(g, r) == sigma_partition_bruteforce(g, r=r)
-
-
-def test_min_over_r_equals_sigma():
-    rng = random.Random(43)
-    for _ in range(50):
-        g = random_graph(rng, rng.randint(1, 8), rng.random())
-        values = [sigma_exact_bounded(g, r) for r in range(1, g.n + 1)]
-        finite = [v for v in values if v is not None]
-        assert min(finite) == sigma_exact(g)
-        # more classes never hurt
-        assert values[-1] == sigma_exact(g)
 
 
 def test_monotone_under_vertex_deletion():
@@ -138,8 +111,6 @@ def oracle_graphs(draw):
 @example(complete_graph(8, [8, 1, 7, 2, 6, 3, 5, 4]))
 def test_oracle_matches_partition_bruteforce(g):
     assert sigma_exact(g) == sigma_partition_bruteforce(g)
-    for r in range(1, g.n + 1):
-        assert sigma_exact_bounded(g, r) == sigma_partition_bruteforce(g, r=r)
 
 
 def test_complete_graph_is_one_class_per_vertex():
