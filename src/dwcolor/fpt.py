@@ -11,34 +11,34 @@ union D, with d = |D| <= t. So any proper coloring splits the covered
 vertices into a set U of D absorbed by clique colors and the rest, which
 fresh classes cover, and the two costs add:
 
-    sigma(G, w) = min over U of D: absorb[U] + fresh[covered - U]
+    sigma(G, w) = min over U: absorb[U] + fresh[covered - U]
 
-Both tables index the covered vertices by one bit order, D first, so a
-subset of D is just a mask below 2^d. ``absorb`` is a table over the 2^d
-subsets of D, one layer per clique vertex with a covered non-neighbour (at
-most 3^d submask visits each), filled first. ``fresh`` is then evaluated
-top-down, only at the sets covered - U with absorb[U] finite and the sets
-they reach: a set's heaviest vertex j peels off with one *maximal* stable
-class of that set containing j (Lawler 1976), found by Bron-Kerbosch. The
-work is the reached sets times their maximal classes, at most 3^(c/3) for
-c candidates (Moon and Moser 1965), so at worst about 2.45^t and one step
-per reached set on dense grounds. Both stay within the 9^k bound, since
-d <= t = 2(k-1).
+Clique vertices with the same covered non-neighbours N form a group. The
+members of a group that absorb take disjoint non-empty pieces of N, so only
+its |N| heaviest are kept. ``absorb`` is filled forward over the groups, at
+the sets U it reaches only. A piece costs what its heaviest vertex weighs
+above its member, and taking more vertices after that head is free and
+leaves less for the rest, so each piece is a *maximal* stable set of what
+is left after its head. ``fresh`` is then evaluated top-down, only at the
+sets covered - U and the sets they reach: a set's heaviest vertex j peels
+off with one maximal stable class of that set containing j (Lawler 1976).
+Bron-Kerbosch finds the maximal classes, at most 3^(c/3) for c candidates
+(Moon and Moser 1965), so ``fresh`` takes at worst about 2.45^t steps, and
+one per reached set on dense grounds. ``absorb`` reaches at most 2^d sets
+per group. Both stay within the 9^k bound, since d <= t = 2(k-1).
 """
 
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, PreconditionViolated
 from .graph import Coloring, WeightedGraph, bits, is_clique, relabeler
 from .matching import Antimatching, maximum_antimatching
 
-# Most covered vertices build_dp takes, the oracle's cap. It bounds memory: a
-# ground that is all D gets a 2^t absorb table, and fresh may reach as many
-# sets.
+# Most covered vertices build_dp takes, the oracle's cap. It bounds memory:
+# absorb and fresh each reach at most 2^t sets.
 MAX_TABLE_BITS = 22
 _INF = float("inf")
 
@@ -80,20 +80,15 @@ class DualAnswer:
 class DPTable:
     """Filled tables of the clique-color assignment program.
 
-    ``ground`` lists the antimatching-covered vertices, those of D first and
-    then the rest, each part ascending; bit j of a mask stands for
-    ``ground[j]``, so the subsets of D are the masks below ``len(absorb)``
-    = 2^d. ``clique_order`` lists the residual clique. ``fresh`` holds only
-    the sets X the final min reached: ``fresh[X]`` is ``base`` (the clique
-    colors as singletons) plus the cheapest cover of X by classes without
-    clique vertices, and ``fresh_parents[X]`` (X nonempty) is a class of
-    such a cover holding X's heaviest vertex, whose rest is again a key.
-
-    ``absorbers`` are the clique vertices with a covered non-neighbour, in
-    layer order. ``absorb[U]`` is the least extra weight at which their
-    colors take exactly the set U of D; ``absorb_parents[i][U]`` is the set
-    that absorber i takes there, -1 for none. ``split`` is the set an
-    optimum absorbs.
+    ``ground`` lists the antimatching-covered vertices in ascending order;
+    bit j of a mask stands for ``ground[j]``. ``clique_order`` lists the
+    residual clique. ``fresh`` holds only the sets X the final min reached:
+    ``fresh[X]`` is ``base`` (the clique colors as singletons) plus the
+    cheapest cover of X by classes without clique vertices, and
+    ``fresh_parents[X]`` (X nonempty) is a class of such a cover holding X's
+    heaviest vertex, whose rest is again a key. ``taken`` maps each clique
+    vertex whose color absorbs covered vertices in the optimum found to the
+    set it absorbs; fresh classes cover the rest.
     """
 
     ground: tuple[int, ...]
@@ -101,11 +96,8 @@ class DPTable:
     base: int
     fresh: dict[int, int]
     fresh_parents: dict[int, int]
-    absorbers: tuple[int, ...]
-    absorb: list[int]
-    absorb_parents: list[array]
+    taken: dict[int, int]
     sigma: int
-    split: int
 
 
 def shortcut_certificate(g: WeightedGraph, m: Antimatching, k: int) -> Coloring:
@@ -124,17 +116,16 @@ def shortcut_certificate(g: WeightedGraph, m: Antimatching, k: int) -> Coloring:
 def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
     """Fill the assignment tables; requires ``m`` to be a maximum antimatching.
 
-    The uncovered vertices must induce a clique, which is checked. At most
-    ``MAX_TABLE_BITS`` vertices may be covered, and the absorbers' 2^d-entry
-    parent arrays may hold at most 2^``MAX_TABLE_BITS`` entries together
-    (``InstanceTooLarge`` otherwise, before any table is allocated). In any
-    proper coloring each clique color absorbs a stable set of its vertex's
-    covered non-neighbours and fresh classes cover the rest, so sigma is the
-    least ``absorb[U] + fresh[covered - U]`` over the subsets U of D with
-    finite ``absorb[U]``. Work is 3^d submask visits per absorber, for the
-    d covered vertices in D, plus, for ``fresh``, the reached sets times
-    their maximal classes: one class per set on dense grounds, at most
-    about 2.45^t steps in all for t covered vertices.
+    The uncovered vertices must induce a clique, which is checked, and at
+    most ``MAX_TABLE_BITS`` vertices may be covered (``InstanceTooLarge``
+    otherwise, before any table is allocated). In any proper coloring each
+    clique color absorbs a stable set of its vertex's covered non-neighbours
+    and fresh classes cover the rest, so sigma is the least extra weight of
+    an absorbed set U plus ``fresh[covered - U]``, over the sets U the
+    absorb pass reaches. Work is, per neighbourhood class, the sets reached
+    before it times the pieces its members may take, plus, for ``fresh``,
+    the reached sets times their maximal classes: one class per set on dense
+    grounds, at most about 2.45^t steps in all for t covered vertices.
     """
     covered = m.covered_mask
     t = covered.bit_count()
@@ -149,81 +140,30 @@ def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
         )
     w = g.weights
     full = (1 << t) - 1
-
-    # clique vertices without a covered non-neighbour stay singletons, already
-    # paid for in base, and get no absorb layer
-    absorbers = [v for v in clique if covered & ~g.adjacency[v]]
-    reach = 0
-    for v in absorbers:
-        reach |= covered & ~g.adjacency[v]
-    d = reach.bit_count()
-    if len(absorbers) << d > 1 << MAX_TABLE_BITS:
-        raise InstanceTooLarge(
-            f"{len(absorbers)} absorb tables over {d} vertices exceed cap"
-        )
-    # D first, so that the absorb table's sets of D are the ground masks below 2^d
-    ground = (*bits(reach), *bits(covered ^ reach))
-
-    # ground-local masks: conflicts among covered vertices, and the covered
-    # non-neighbours of each clique vertex
+    ground = tuple(bits(covered))
     local = relabeler(ground, g.n)
-    conflict = [local(g.adjacency[v]) for v in ground]
     wg = [w[v] for v in ground]
     base = sum(w[v] for v in clique)
 
-    # stability and class-weight tables over the subsets of D, the only
-    # classes the absorb layers price (maxw only on stable sets, the only
-    # ones read), in one increasing pass from X minus its lowest vertex
-    dsize = 1 << d
-    stab = bytearray(dsize)
-    stab[0] = 1
-    maxw = [0] * dsize
-    for x in range(1, dsize):
-        low = x & -x
-        j = low.bit_length() - 1
-        rest = x ^ low
-        if stab[rest] and not conflict[j] & rest:
-            stab[x] = 1
-            mw = maxw[rest]
-            maxw[x] = mw if mw > wg[j] else wg[j]
-
-    # absorb: one layer per absorber over the 2^d subsets of D
-    absorb = [_INF] * dsize
-    absorb[0] = 0
-    absorb_parents = []
-    for v in absorbers:
-        la = full ^ local(g.adjacency[v])
-        wv = w[v]
-        extra = [-1] * dsize  # extra weight of v's class taking s, -1 if unstable
-        s = la
-        while s:
-            if stab[s]:
-                mw = maxw[s]
-                extra[s] = mw - wv if mw > wv else 0
-            s = (s - 1) & la
-        # in place, downwards: a source u is read before any subset of u
-        # writes to it, so each color absorbs at most once
-        par = array("i", [-1]) * dsize
-        for u in range(dsize - 1, -1, -1):
-            au = absorb[u]
-            if au == _INF:
-                continue
-            free = la & ~u
-            s = free
-            while s:
-                c = extra[s]
-                if c >= 0 and au + c < absorb[u | s]:
-                    absorb[u | s] = au + c
-                    par[u | s] = s
-                s = (s - 1) & free
-        absorb_parents.append(par)
-
-    # fresh, top-down over the sets the final min reaches: the class of X's
-    # heaviest vertex j costs w_j whatever else it holds, and fresh only
-    # falls on subsets, so that class may be taken maximal among the stable
-    # subsets of X containing j
+    # a class is headed by its heaviest vertex j, costs w_j whatever else it
+    # holds, and so may take every vertex after j (later[j]) it can share with
     heavy = sorted(range(t), key=lambda j: (-wg[j], j))
-    allowed = [full ^ conflict[j] ^ (1 << j) for j in range(t)]
+    allowed = [full ^ local(g.adjacency[v]) ^ (1 << j) for j, v in enumerate(ground)]
+    later = [0] * t
+    after = 0
+    for j in reversed(heavy):
+        later[j] = after
+        after |= 1 << j
+
+    def headed(x: int, j: int) -> list[int]:
+        """The classes in x headed by j, maximal among x's vertices after j."""
+        cand = x & allowed[j] & later[j]
+        if not cand & (cand - 1):
+            return [cand | 1 << j]
+        return [s | 1 << j for s in _maximal_classes(cand, allowed)]
+
+    # fresh, top-down over the sets the final min reaches: fresh only falls
+    # on subsets, so X's heaviest vertex peels off with a maximal class
     fresh = {0: base}
     fresh_parents = {}
 
@@ -234,35 +174,86 @@ def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
         for j in heavy:
             if x >> j & 1:
                 break
-        low = 1 << j
-        rest = x ^ low
-        cand = rest & allowed[j]
-        # a stable candidate set is the one maximal class; stab answers for
-        # the subsets of D, and at most one candidate is always stable
-        if cand < dsize and stab[cand] or not cand & (cand - 1):
-            classes = (cand,)
-        else:
-            classes = _maximal_classes(cand, allowed)
         best = _INF
-        for s in classes:
-            c = cover(rest ^ s)
+        for s in headed(x, j):
+            c = cover(x ^ s)
             if c < best:
                 best = c
                 best_s = s
         best += wg[j]
         fresh[x] = best
-        fresh_parents[x] = best_s | low
+        fresh_parents[x] = best_s
         return best
 
-    sigma, split = min(
-        (absorb[u] + cover(full ^ u), u)
-        for u in range(dsize)
-        if absorb[u] != _INF
-    )
-    return DPTable(
-        ground, clique, base, fresh, fresh_parents, tuple(absorbers), absorb,
-        absorb_parents, sigma, split,
-    )
+    # clique vertices grouped by their covered non-neighbours N, heaviest
+    # first; those without any stay singletons, already paid for in base.
+    # The members that absorb take disjoint non-empty pieces of N, so at most
+    # |N| of a group do, and the heaviest do so cheapest
+    by_blind = {}
+    for v in sorted(clique, key=lambda v: -w[v]):
+        blind = covered & ~g.adjacency[v]
+        if blind:
+            members = by_blind.setdefault(blind, [])
+            if len(members) < blind.bit_count():
+                members.append(v)
+    groups = [(local(blind), members) for blind, members in by_blind.items()]
+
+    pieces = {}  # set still available -> the (head, piece) pairs it offers
+
+    def takes(avail: int, members: list[int]) -> dict[int, tuple[int, tuple]]:
+        """Each set the members (heaviest first) can take out of ``avail``,
+        at its least extra weight, with the pieces they take: the i-th member
+        the i-th heaviest-headed, each maximal, since taking more vertices
+        after the head is free and leaves less for the rest."""
+        out = {}
+        stack = [(0, 0, avail, ())]  # set taken, extra weight, heads left, pieces
+        while stack:
+            u, extra, heads, took = stack.pop()
+            if took and extra < out.get(u, (_INF,))[0]:
+                out[u] = (extra, took)
+            if len(took) == len(members):
+                continue
+            wv = w[members[len(took)]]
+            rest = avail ^ u
+            got = pieces.get(rest)
+            if got is None:
+                got = pieces[rest] = [(j, s) for j in bits(rest) for s in headed(rest, j)]
+            for j, s in got:
+                if heads >> j & 1:
+                    e = extra + wg[j] - wv if wg[j] > wv else extra
+                    stack.append((u | s, e, later[j], (*took, s)))
+        return out
+
+    # absorb, forward over the groups: cost[U] is the least extra weight at
+    # which the groups so far take exactly U, and steps[i][U] = (U0, pieces)
+    # when group i lowered it from U0, a set reached before the group
+    cost = {0: 0}
+    steps = []
+    for blind, members in groups:
+        found = {}
+        options = {}  # set still available -> takes(set, members)
+        for u0, c0 in list(cost.items()):
+            avail = blind & ~u0
+            if not avail:
+                continue
+            opts = options.get(avail)
+            if opts is None:
+                opts = options[avail] = takes(avail, members)
+            for s, (extra, took) in opts.items():
+                u = u0 | s
+                if c0 + extra < cost.get(u, _INF):
+                    cost[u] = c0 + extra
+                    found[u] = (u0, took)
+        steps.append(found)
+
+    sigma, u = min((c + cover(full ^ u), u) for u, c in cost.items())
+    taken = {}
+    for (_, members), found in zip(reversed(groups), reversed(steps)):
+        step = found.get(u)
+        if step:
+            u, took = step
+            taken.update(zip(members, took))
+    return DPTable(ground, clique, base, fresh, fresh_parents, taken, sigma)
 
 
 def _maximal_classes(cand: int, allowed: list[int]) -> list[int]:
@@ -292,20 +283,15 @@ def _maximal_classes(cand: int, allowed: list[int]) -> list[int]:
 
 
 def extract_certificate(t: DPTable) -> Coloring:
-    """Walk the parent pointers into an optimal proper coloring."""
+    """Build the optimal proper coloring the table's parents describe."""
 
     def members(s: int) -> list[int]:
         return [t.ground[j] for j in bits(s)]
 
-    taken = {}
-    u = t.split
-    for v, par in zip(reversed(t.absorbers), reversed(t.absorb_parents)):
-        s = par[u]
-        if s > 0:
-            taken[v] = s
-            u ^= s
-    classes = [tuple(sorted([v, *members(taken.get(v, 0))])) for v in t.clique_order]
-    x = ((1 << len(t.ground)) - 1) ^ t.split
+    classes = [tuple(sorted([v, *members(t.taken.get(v, 0))])) for v in t.clique_order]
+    x = (1 << len(t.ground)) - 1
+    for s in t.taken.values():
+        x ^= s
     while x:
         s = t.fresh_parents[x]
         classes.append(tuple(sorted(members(s))))

@@ -169,7 +169,9 @@ def all_antimatchings_bruteforce(g: WeightedGraph) -> int:
 def absorb_heavy_graph() -> WeightedGraph:
     """Unit-weight graph on 627 vertices whose maximum antimatching covers
     t = 22 vertices, the table's width cap, while 605 clique vertices have
-    covered non-neighbours among d = 16 of them: 605 absorb layers of 2^16.
+    covered non-neighbours among d = 16 of them, in 11 neighbourhood
+    classes. Its sigma is 611: each special triple below shares one class
+    and each normal pair another.
 
     Built from its non-edges: five special pairs (0-14, every third vertex a
     singleton blind to both ends of its pair), six normal pairs (15-26), and

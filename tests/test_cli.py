@@ -20,7 +20,7 @@ from dwcolor.formats import parse_dwc, serialize_dwc
 from dwcolor.fpt import DualInstance
 from dwcolor.instances import bench_instance
 from dwcolor.kernel import kernelize
-from dwcolor.graph import Coloring, build_graph
+from dwcolor.graph import Coloring, build_graph, coloring_weight, is_proper
 from conftest import absorb_heavy_graph, complete_graph
 
 P3 = "p dwc 3 2 1\nw 1 1\nw 2 2\nw 3 1\ne 1 2\ne 2 3\n"
@@ -169,13 +169,17 @@ def test_solve_table_too_wide_exit_two(tmp_path):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
-def test_solve_absorb_tables_too_large_exit_two(tmp_path):
-    # within the fresh table's width, but 605 absorb layers of 2^16 entries
+def test_solve_absorb_heavy_file(tmp_path):
+    # t = 22, the table's cap, with 605 clique vertices that may absorb
+    g = absorb_heavy_graph()
     path = tmp_path / "absorb.dwc"
-    path.write_text(serialize_dwc(DualInstance(absorb_heavy_graph(), 12)))
-    proc = run_cli(["solve", str(path)])
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    path.write_text(serialize_dwc(DualInstance(g, 12)))
+    proc = run_cli(["solve", str(path), "--emit-certificate"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    out = json.loads(proc.stdout)
+    assert out["answer"] == "yes" and out["sigma"] == 611
+    cert = Coloring(tuple(tuple(v - 1 for v in cls) for cls in out["certificate"]))
+    assert is_proper(g, cert) and coloring_weight(g, cert) == 611
 
 
 @st.composite

@@ -5,7 +5,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dwcolor import (
@@ -143,15 +143,19 @@ def test_absorb_table_matches_top_down_reference():
         am = maximum_antimatching(g)
         t = build_dp(g, am)
         assert t.fresh[0] == t.base
-        size = len(t.absorb)
-        assert size == 1 << _blind_union(g, am).bit_count()
         ref = _absorb_reference(g, am.residual_clique)
-        for u in range(size):
-            assert t.absorb[u] == ref(0, frozenset(t.ground[j] for j in bits(u)))
-        # fresh holds only the sets the min reaches: those of finite absorb
-        full = (1 << len(t.ground)) - 1
-        finite = [u for u in range(size) if t.absorb[u] != float("inf")]
-        assert min(t.absorb[u] + t.fresh[full ^ u] for u in finite) == t.sigma
+        blind = list(bits(_blind_union(g, am)))
+        covered = set(bits(am.covered_mask))
+        best = float("inf")
+        for r in range(len(blind) + 1):
+            for u in itertools.combinations(blind, r):
+                rest, _ = induced_subgraph(g, covered - set(u))
+                best = min(best, ref(0, frozenset(u)) + t.base + sigma_exact(rest))
+        assert t.sigma == best
+        for v, s in t.taken.items():
+            members = [t.ground[j] for j in bits(s)]
+            assert is_stable(g, members)
+            assert not any(g.has_edge(u, v) for u in members)
 
 
 def _blind_union(g, am):
@@ -170,11 +174,14 @@ def test_absorb_layers_only_for_absorbers():
         am = maximum_antimatching(g)
         t = build_dp(g, am)
         covered = am.covered_mask
-        want = tuple(v for v in t.clique_order if covered & ~g.adjacency[v])
-        assert t.absorbers == want and len(want) < len(t.clique_order)
-        assert len(t.absorb_parents) == len(want)
-        for par in t.absorb_parents:
-            assert len(par) <= 1 << (k - 1)
+        assert t.taken
+        per_class = {}
+        for v in t.taken:
+            blind = covered & ~g.adjacency[v]
+            assert blind
+            per_class[blind] = per_class.get(blind, 0) + 1
+        for blind, count in per_class.items():
+            assert count <= blind.bit_count()
         cert = extract_certificate(t)
         assert is_proper(g, cert) and coloring_weight(g, cert) == t.sigma
 
@@ -184,15 +191,15 @@ def test_absorb_layers_only_for_absorbers():
 # certificate the table picks, so that a change of its bit order or its
 # recurrence cannot change one unnoticed.
 _PINNED_TABLE_ANSWERS = {
-    (200, 6, 1): (627, "5eff0f70d70d316a357a80a87012706d1d1fc04de4aa45e1494c408fee0c6071"),
-    (200, 6, 2): (583, "fbddb530c78edb8f071084a85fb4d26b476bf3e35db6cc175d6b013afe6913e3"),
+    (200, 6, 1): (627, "b7d69f2e21daceef6edba956936c93683445ffde517d540a3c526a140bf32d21"),
+    (200, 6, 2): (583, "fec5119501508eade507d8a350998608bf5c54a216f7d61e4366be0d2de48742"),
     (200, 7, 1): (621, "6c1aebd0949ecaf8b38599e8bda181ff7f826cdb23b4abeb910c46fce32859ba"),
     (200, 7, 2): (593, "2b270fa7937f5e3376cfb8a4d0211f288accc011807ad00db7f9312d3d0f9803"),
     (200, 8, 1): (609, "835a9668a484bfadd9997a6e8f3a5d2bd96306f6ecdc24afa24c4cec29473417"),
     (200, 8, 2): (585, "aef909b7fbecb8db08a1066e07884d6ddb63b1ca8091e84ef2199b4af52100ac"),
     (240, 3, 1): (734, "ac9a1e8886a6516a7bbaf35cc7288b3dcb920ed7bb751aa9d36def206a8f0fc8"),
-    (320, 4, 1): (943, "9ac5603cda0de8b2f0ca63ae5722b3097e1e6a8914b6f0ffaa05e9e6a2242d8f"),
-    (400, 5, 1): (1220, "495aca1a8511fd27b06c9fbf82991034bc01969bfed6398ec4fbcc16149557cb"),
+    (320, 4, 1): (943, "c5223915423a545af2901dcecbcd2e53752b9a6841dca9846de7147d3bbb8d62"),
+    (400, 5, 1): (1220, "ab0e9c6bd24e7f0e5e8119edb3bea9eaaf4f4cf523f902589bdb32a8e03fc1ad"),
 }
 
 
@@ -224,9 +231,8 @@ def test_table_too_wide_raises_before_allocating():
         solve_dual(DualInstance(g, 31))
 
 
-def test_absorb_tables_bounded_before_allocating():
-    # t = 22 is within the fresh table's cap, but 605 absorb layers over
-    # 2^16 subsets each would take 151 MiB of parents
+def test_absorb_heavy_graph_solves_in_little_memory():
+    # t = 22, the table's cap, with 605 absorbers blind to d = 16 vertices
     g = absorb_heavy_graph()
     am = maximum_antimatching(g)
     assert 2 * am.size == MAX_TABLE_BITS
@@ -238,14 +244,15 @@ def test_absorb_tables_bounded_before_allocating():
     assert sum(1 for mask in blind if mask) == 605 and reach.bit_count() == 16
     tracemalloc.start()
     try:
-        with pytest.raises(InstanceTooLarge):
-            build_dp(g, am)
+        t = build_dp(g, am)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
-    with pytest.raises(InstanceTooLarge):
-        solve_dual(DualInstance(g, 12))
+    # each special triple shares one class (saving 2), each normal pair one (saving 1)
+    assert t.sigma == 627 - 2 * 5 - 6 == 611
+    assert peak < 16 << 20
+    cert = extract_certificate(t)
+    assert is_proper(g, cert) and coloring_weight(g, cert) == 611
 
 
 @st.composite
@@ -273,13 +280,6 @@ def test_table_matches_oracle(g):
     am = maximum_antimatching(g)
     t = build_dp(g, am)
     assert t.sigma == sigma_exact(g)
-    # D comes first in the ground, so the absorbed split is a mask below 2^d
-    assert t.split < len(t.absorb)
-    reach = _blind_union(g, am)
-    d = reach.bit_count()
-    assert len(t.absorb) == 1 << d
-    assert t.ground[:d] == tuple(bits(reach))
-    assert t.ground[d:] == tuple(bits(am.covered_mask & ~reach))
     cert = extract_certificate(t)
     assert is_proper(g, cert)
     assert coloring_weight(g, cert) == t.sigma
@@ -289,7 +289,7 @@ def test_full_ground_absorbed_on_stable_sets():
     for n in (3, 5, 7, 9):
         g = build_graph(n, [], list(range(1, n + 1)))
         t = build_dp(g, maximum_antimatching(g))
-        assert t.ground == tuple(range(n - 1)) and len(t.absorb) == 1 << (n - 1)
+        assert t.ground == tuple(range(n - 1))
         assert t.sigma == n == sigma_exact(g)
 
 
@@ -310,14 +310,15 @@ def test_every_reached_fresh_set_is_exact():
                     assert value == t.fresh[x ^ s] + max(g.weights[v] for v in members)
 
 
-@pytest.mark.parametrize("n", [14, 20])
+@pytest.mark.parametrize("n", [14, 15, 20, 21])
 def test_edgeless_even_ground_reaches_few_sets(n):
-    # every vertex is covered and no clique is left, so D is empty and the
-    # whole ground is one maximal class
+    # with even n no clique is left and the whole ground is one maximal
+    # class; with odd n one clique vertex is blind to the whole ground, and
+    # each piece it may take is a suffix of the ground, leaving a stable rest
     g = build_graph(n, [], [1] * n)
     am = maximum_antimatching(g)
     t = build_dp(g, am)
-    assert am.residual_clique == () and len(t.absorb) == 1
+    assert len(am.residual_clique) == n % 2
     assert t.sigma == 1
     assert len(t.fresh) <= len(t.ground) + 1
     assert extract_certificate(t).classes == (tuple(range(n)),)
@@ -356,11 +357,7 @@ def _join_case(parts, clique_weights):
 )
 def test_join_sigma_is_the_sum_of_its_parts(case):
     g, sigma = case
-    am = maximum_antimatching(g)
-    # the final min reaches a fresh set per finite absorb entry, up to 2^d
-    # of them, so d is kept small for speed; t still goes up to 20
-    assume(_blind_union(g, am).bit_count() <= 14)
-    t = build_dp(g, am)
+    t = build_dp(g, maximum_antimatching(g))
     assert t.sigma == sigma
     cert = extract_certificate(t)
     assert is_proper(g, cert) and coloring_weight(g, cert) == sigma
