@@ -25,6 +25,7 @@ from .errors import (
 )
 from .graph import (
     Coloring,
+    DualInstance,
     WeightedGraph,
     build_graph,
     coloring_weight,
@@ -40,7 +41,6 @@ from .oracle import decide_dual_oracle, sigma_exact
 from .fpt import (
     DPTable,
     DualAnswer,
-    DualInstance,
     SolveStats,
     build_dp,
     extract_certificate,

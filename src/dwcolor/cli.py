@@ -19,7 +19,7 @@ from dataclasses import asdict, replace
 from typing import Iterable
 
 from .errors import ClaimViolation, DwcError, FormatError, InvalidColoring
-from .fpt import DualAnswer, DualInstance, SolveStats, solve_dual
+from .fpt import DualAnswer, SolveStats, solve_dual
 from .formats import (
     detect_format,
     parse_dwc,
@@ -28,7 +28,7 @@ from .formats import (
     serialize_dwc,
     serialize_interval,
 )
-from .graph import Coloring, coloring_weight, is_stable
+from .graph import Coloring, DualInstance, coloring_weight, is_stable
 from .instances import (
     audit_interval_bounds,
     audit_split_bounds,

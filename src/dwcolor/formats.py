@@ -22,8 +22,7 @@ import re
 from typing import Iterator
 
 from .errors import FormatError
-from .fpt import DualInstance
-from .graph import WeightedGraph, higher_neighbors
+from .graph import DualInstance, WeightedGraph, higher_neighbors
 from .graph import build_graph  # not called here; perfbench's tracer wraps formats.build_graph
 from .instances import IntervalRepresentation, SetCoverInstance, intervals_to_graph
 

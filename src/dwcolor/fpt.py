@@ -13,9 +13,10 @@ fresh classes cover, and the two costs add:
 
     sigma(G, w) = min over U: absorb[U] + fresh[covered - U]
 
-Clique vertices with the same covered non-neighbours N form a group. The
-members of a group that absorb take disjoint non-empty pieces of N, so only
-its |N| heaviest are kept. ``absorb`` is filled forward over the groups, at
+Clique vertices with the same covered non-neighbours N form a class of
+``kernel.compute_classes``, which lists it heaviest first. The members of a
+class that absorb take disjoint non-empty pieces of N, so only its first
+|N| are kept. ``absorb`` is filled forward over the classes, at
 the sets U it reaches only. A piece costs what its heaviest vertex weighs
 above its member, and taking more vertices after that head is free and
 leaves less for the rest, so each piece is a *maximal* stable set of what
@@ -25,7 +26,7 @@ off with one maximal stable class of that set containing j (Lawler 1976).
 Bron-Kerbosch finds the maximal classes, at most 3^(c/3) for c candidates
 (Moon and Moser 1965), so ``fresh`` takes at worst about 2.45^t steps, and
 one per reached set on dense grounds. ``absorb`` reaches at most 2^d sets
-per group. Both stay within the 9^k bound, since d <= t = 2(k-1).
+per class. Both stay within the 9^k bound, since d <= t = 2(k-1).
 """
 
 from __future__ import annotations
@@ -34,29 +35,14 @@ import time
 from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, PreconditionViolated
-from .graph import Coloring, WeightedGraph, bits, is_clique, relabeler
+from .graph import Coloring, DualInstance, WeightedGraph, bits, relabeler
+from .kernel import compute_classes
 from .matching import Antimatching, maximum_antimatching
 
 # Most covered vertices build_dp takes, the oracle's cap. It bounds memory:
 # absorb and fresh each reach at most 2^t sets.
 MAX_TABLE_BITS = 22
 _INF = float("inf")
-
-
-@dataclass(frozen=True)
-class DualInstance:
-    """A weighted graph together with the savings parameter k >= 1."""
-
-    graph: WeightedGraph
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise PreconditionViolated(f"k={self.k} must be >= 1")
-
-    @property
-    def threshold(self) -> int:
-        return self.graph.weight_sum - self.k
 
 
 @dataclass(frozen=True)
@@ -116,9 +102,11 @@ def shortcut_certificate(g: WeightedGraph, m: Antimatching, k: int) -> Coloring:
 def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
     """Fill the assignment tables; requires ``m`` to be a maximum antimatching.
 
-    The uncovered vertices must induce a clique, which is checked, and at
-    most ``MAX_TABLE_BITS`` vertices may be covered (``InstanceTooLarge``
-    otherwise, before any table is allocated). In any proper coloring each
+    At most ``MAX_TABLE_BITS`` vertices may be covered (``InstanceTooLarge``
+    otherwise, before any table is allocated). The uncovered vertices come in
+    the classes of ``kernel.compute_classes``, which checks that they induce
+    a clique and that ``m`` shows no witness of a larger antimatching. In any
+    proper coloring each
     clique color absorbs a stable set of its vertex's covered non-neighbours
     and fresh classes cover the rest, so sigma is the least extra weight of
     an absorbed set U plus ``fresh[covered - U]``, over the sets U the
@@ -133,11 +121,8 @@ def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
         raise InstanceTooLarge(
             f"table over {t} covered vertices exceeds cap {MAX_TABLE_BITS}"
         )
+    part = compute_classes(g, m)
     clique = m.residual_clique
-    if not is_clique(g, clique):
-        raise PreconditionViolated(
-            "uncovered vertices do not induce a clique; antimatching not maximum"
-        )
     w = g.weights
     full = (1 << t) - 1
     ground = tuple(bits(covered))
@@ -185,22 +170,19 @@ def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
         fresh_parents[x] = best_s
         return best
 
-    # clique vertices grouped by their covered non-neighbours N, heaviest
-    # first; those without any stay singletons, already paid for in base.
-    # The members that absorb take disjoint non-empty pieces of N, so at most
-    # |N| of a group do, and the heaviest do so cheapest
-    by_blind = {}
-    for v in sorted(clique, key=lambda v: -w[v]):
-        blind = covered & ~g.adjacency[v]
+    # the classes with covered non-neighbours N, heaviest member first; a
+    # class without any stays singletons, already paid for in base. The
+    # members that absorb take disjoint non-empty pieces of N, so at most |N|
+    # of a class do, and its first |N|, the heaviest, do so cheapest
+    groups = []
+    for cls in sorted(part.classes, key=lambda c: (-w[c.vertices[0]], c.vertices[0])):
+        blind = covered & ~g.adjacency[cls.vertices[0]]
         if blind:
-            members = by_blind.setdefault(blind, [])
-            if len(members) < blind.bit_count():
-                members.append(v)
-    groups = [(local(blind), members) for blind, members in by_blind.items()]
+            groups.append((local(blind), cls.vertices[: blind.bit_count()]))
 
     pieces = {}  # set still available -> the (head, piece) pairs it offers
 
-    def takes(avail: int, members: list[int]) -> dict[int, tuple[int, tuple]]:
+    def takes(avail: int, members: tuple[int, ...]) -> dict[int, tuple[int, tuple]]:
         """Each set the members (heaviest first) can take out of ``avail``,
         at its least extra weight, with the pieces they take: the i-th member
         the i-th heaviest-headed, each maximal, since taking more vertices

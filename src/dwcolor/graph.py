@@ -20,6 +20,7 @@ from .errors import (
     InvalidVertex,
     InvalidWeight,
     MalformedEdge,
+    PreconditionViolated,
 )
 
 
@@ -90,6 +91,22 @@ class WeightedGraph:
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise InvalidVertex(f"vertex {v} not in 0..{self.n - 1}")
+
+
+@dataclass(frozen=True)
+class DualInstance:
+    """A weighted graph together with the savings parameter k >= 1."""
+
+    graph: WeightedGraph
+    k: int
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise PreconditionViolated(f"k={self.k} must be >= 1")
+
+    @property
+    def threshold(self) -> int:
+        return self.graph.weight_sum - self.k
 
 
 @dataclass(frozen=True)
@@ -179,11 +196,9 @@ def is_stable(g: WeightedGraph, s: Iterable[int]) -> bool:
 
 def is_clique(g: WeightedGraph, s: Iterable[int]) -> bool:
     """True iff the vertices of ``s`` are pairwise adjacent."""
-    mask = _as_mask(g, s)
-    for v in bits(mask):
-        if (mask ^ (1 << v)) & ~g.adjacency[v]:
-            return False
-    return True
+    vs = list(s)
+    mask = _as_mask(g, vs)
+    return not any((mask ^ 1 << v) & ~g.adjacency[v] for v in vs)
 
 
 def is_universal(g: WeightedGraph, v: int) -> bool:

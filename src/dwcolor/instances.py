@@ -21,8 +21,8 @@ from .errors import (
     PreconditionViolated,
     TrivialBudget,
 )
-from .fpt import DualInstance
-from .graph import WeightedGraph, build_graph, complement, is_clique, is_stable, is_universal
+from .graph import DualInstance, WeightedGraph, build_graph, complement
+from .graph import is_clique, is_stable, is_universal
 from .kernel import check_bound_bits, compute_classes, kernel_size_limit, kernelize
 from .matching import maximum_antimatching
 

@@ -39,8 +39,8 @@ from .errors import (
     NonMaximalAntimatchingWitness,
     PreconditionViolated,
 )
-from .fpt import DualInstance
-from .graph import WeightedGraph, bits, build_graph, induced_subgraph, is_universal
+from .graph import DualInstance, WeightedGraph, bits, build_graph, induced_subgraph
+from .graph import is_clique, is_universal
 from .matching import Antimatching, maximum_antimatching
 
 RULE_UNIVERSAL = "delete_universal"
@@ -68,7 +68,7 @@ def kernel_size_limit(k: int) -> int:
 
 @dataclass(frozen=True)
 class NeighborhoodClass:
-    """Residual-clique vertices sharing one neighborhood among covered vertices."""
+    """Residual-clique vertices sharing one covered neighborhood, heaviest first."""
 
     vertices: tuple[int, ...]
     signature: frozenset[int]
@@ -173,51 +173,56 @@ def _delete(g: WeightedGraph, doomed: Collection[int]) -> WeightedGraph:
 def compute_classes(g: WeightedGraph, m: Antimatching) -> ClassPartition:
     """Partition the residual clique by neighborhood among covered vertices.
 
-    This is the one place the structural consequences of maximality are
-    checked: a class of two or more vertices seeing neither endpoint of a
-    pair, or two classes each missing opposite endpoints of one pair, both
-    witness a larger antimatching and raise
+    This is the one place the residual clique is grouped, ranked and
+    checked. Classes come in first-member order, and each lists its vertices
+    heaviest first with ties to the lower id, so :func:`truncate_classes`
+    and ``fpt.build_dp`` keep prefixes of them. The uncovered vertices must
+    induce a clique (:class:`PreconditionViolated` otherwise), and a class of
+    two or more vertices seeing neither endpoint of a pair, or two classes
+    missing one endpoint each, witness a larger antimatching and raise
     :class:`NonMaximalAntimatchingWitness`.
     """
+    clique = m.residual_clique
+    if not is_clique(g, clique):
+        raise PreconditionViolated(
+            "uncovered vertices do not induce a clique; antimatching not maximum"
+        )
     covered = m.covered_mask
     # the clique ascends, so the groups come in first-member order
     groups: dict[int, list[int]] = {}
-    for v in m.residual_clique:
+    for v in clique:
         groups.setdefault(g.adjacency[v] & covered, []).append(v)
-    ordered = list(groups.items())
-    class_special = [False] * len(ordered)
+    special: set[int] = set()  # the signatures of blind classes
     k_s = 0
 
     for x, y in m.pairs:
-        bx, by = 1 << x, 1 << y
-        miss_x = [i for i, (sig, _) in enumerate(ordered) if not sig & bx]
-        miss_y = [i for i, (sig, _) in enumerate(ordered) if not sig & by]
-        blind = set(miss_x) & set(miss_y)
-        if blind:
-            for i in blind:
-                if len(ordered[i][1]) >= 2:
-                    raise NonMaximalAntimatchingWitness(
-                        f"class {ordered[i][1]} sees neither endpoint of ({x},{y})"
-                    )
-            if len(set(miss_x) | set(miss_y)) > len(blind) or len(blind) > 1:
+        miss_x = {sig for sig in groups if not sig >> x & 1}
+        miss_y = {sig for sig in groups if not sig >> y & 1}
+        blind = miss_x & miss_y
+        for sig in blind:
+            if len(groups[sig]) >= 2:
                 raise NonMaximalAntimatchingWitness(
-                    f"conflicting blind spots on pair ({x},{y})"
+                    f"class {groups[sig]} sees neither endpoint of ({x},{y})"
                 )
-            for i in blind:
-                class_special[i] = True
-            k_s += 1
-        elif miss_x and miss_y:
+        if miss_x and miss_y and len(miss_x | miss_y) > 1:
             raise NonMaximalAntimatchingWitness(
                 f"classes miss opposite endpoints of ({x},{y})"
             )
+        # blind is now empty or one singleton class, the only one missing x or y
+        special |= blind
+        k_s += len(blind)
 
+    # sorts keep equal keys in order, reversed too, so ties stay id-ascending;
+    # a signature is the covered set less the class's covered non-neighbours,
+    # which are few on dense grounds
+    covered_set = frozenset(bits(covered))
     classes = tuple(
         NeighborhoodClass(
-            vertices=tuple(vs),
-            signature=frozenset(bits(sig)),
-            special=class_special[i],
+            vertices=tuple(sorted(vs, key=g.weights.__getitem__, reverse=True)),
+            signature=covered_set.difference(bits(covered ^ sig)),
+            special=sig in special,
         )
-        for i, (sig, vs) in enumerate(ordered)
+        for sig, vs in groups.items()
     )
     return ClassPartition(classes=classes, k_s=k_s, k_n=m.size - k_s)
 
@@ -225,18 +230,14 @@ def compute_classes(g: WeightedGraph, m: Antimatching) -> ClassPartition:
 def truncate_classes(
     g: WeightedGraph, m: Antimatching, part: ClassPartition
 ) -> tuple[WeightedGraph, tuple[int, ...]]:
-    """Keep only the |M| heaviest vertices of each oversized class.
+    """Keep only the |M| heaviest vertices of each class, its first |M|.
 
-    Ties break toward lower vertex ids. Requires at least one pair, which
-    exhaustive universal-vertex deletion guarantees on non-empty graphs.
+    Requires at least one pair, which exhaustive universal-vertex deletion
+    guarantees on non-empty graphs.
     """
     if m.size < 1:
         raise PreconditionViolated("truncation needs a non-empty antimatching")
-    doomed: list[int] = []
-    for cls in part.classes:
-        if len(cls.vertices) > m.size:
-            ranked = sorted(cls.vertices, key=lambda v: (-g.weights[v], v))
-            doomed.extend(sorted(ranked[m.size :]))
+    doomed = [v for cls in part.classes for v in sorted(cls.vertices[m.size :])]
     return _delete(g, doomed), tuple(doomed)
 
 

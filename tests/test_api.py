@@ -1,6 +1,8 @@
 """The package's public surface, pinned so that a cut or an accidental export
 shows up as a one-line diff."""
 
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import dwcolor
@@ -35,3 +37,17 @@ def test_public_names():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     )
     assert names == PUBLIC
+
+
+def test_lower_layers_do_not_import_the_solver():
+    """``DualInstance`` lives next to ``WeightedGraph``, so the modules the
+    solver builds on never import it; ``fpt`` still exports the name, which
+    the benchmark imports from there."""
+    src = Path(dwcolor.__file__).parent
+    for name in ("graph", "kernel", "formats", "instances"):
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported = [node.module] if node.module else [a.name for a in node.names]
+                assert not {"fpt", "dwcolor.fpt"} & set(imported), name
+    assert dwcolor.fpt.DualInstance is dwcolor.graph.DualInstance

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dwcolor import (
     InstanceTooLarge,
+    NonMaximalAntimatchingWitness,
     PreconditionViolated,
     build_graph,
     coloring_weight,
@@ -28,6 +29,7 @@ from dwcolor.fpt import (
 )
 from dwcolor.graph import bits, induced_subgraph
 from dwcolor.instances import bench_instance
+from dwcolor.kernel import compute_classes
 from dwcolor.matching import Antimatching, maximum_antimatching
 from conftest import (
     absorb_heavy_graph,
@@ -111,6 +113,11 @@ def test_dp_rejects_non_maximum_antimatching():
     p3 = path_graph(3)
     with pytest.raises(PreconditionViolated):
         build_dp(p3, Antimatching((), 3))
+    # K4 minus the path 0-1-2-3: the pair (1, 2) is maximal but not maximum,
+    # and the clique vertices 0 and 3 miss its opposite endpoints
+    g = build_graph(4, [(0, 2), (0, 3), (1, 3)], [3, 1, 2, 4])
+    with pytest.raises(NonMaximalAntimatchingWitness):
+        build_dp(g, Antimatching(((1, 2),), 4))
 
 
 def _absorb_reference(g, clique):
@@ -182,6 +189,10 @@ def test_absorb_layers_only_for_absorbers():
             per_class[blind] = per_class.get(blind, 0) + 1
         for blind, count in per_class.items():
             assert count <= blind.bit_count()
+        # the absorbers are the heaviest of their class, as compute_classes ranks it
+        for cls in compute_classes(g, am).classes:
+            absorbing = [v for v in cls.vertices if v in t.taken]
+            assert cls.vertices[: len(absorbing)] == tuple(absorbing)
         cert = extract_certificate(t)
         assert is_proper(g, cert) and coloring_weight(g, cert) == t.sigma
 

@@ -117,6 +117,7 @@ def test_truncation_keeps_heaviest_with_id_ties():
     am = Antimatching(((5, 6),), 7)
     part = compute_classes(g, am)
     assert len(part.classes) == 1 and len(part.classes[0].vertices) == 5
+    assert part.classes[0].vertices == (1, 3, 2, 4, 0)
     red, deleted = truncate_classes(g, am, part)
     # keep weights (5, id 1) then (5, id 3) ... wait |M|=1 keeps only one
     assert deleted == (0, 2, 3, 4)
