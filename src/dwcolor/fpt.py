@@ -16,8 +16,9 @@ fresh classes cover, and the two costs add:
 Clique vertices with the same covered non-neighbours N form a class of
 ``kernel.compute_classes``, which lists it heaviest first. The members of a
 class that absorb take disjoint non-empty pieces of N, so only its first
-|N| are kept. ``absorb`` is filled forward over the classes, at
-the sets U it reaches only. A piece costs what its heaviest vertex weighs
+|N| are kept. ``absorb`` is filled forward over these members, one at a
+time, at the sets U it reaches only: each member takes one piece of what is
+left of its N, or none. A piece costs what its heaviest vertex weighs
 above its member, and taking more vertices after that head is free and
 leaves less for the rest, so each piece is a *maximal* stable set of what
 is left after its head. ``fresh`` is then evaluated top-down, only at the
@@ -25,8 +26,8 @@ sets covered - U and the sets they reach: a set's heaviest vertex j peels
 off with one maximal stable class of that set containing j (Lawler 1976).
 Bron-Kerbosch finds the maximal classes, at most 3^(c/3) for c candidates
 (Moon and Moser 1965), so ``fresh`` takes at worst about 2.45^t steps, and
-one per reached set on dense grounds. ``absorb`` reaches at most 2^d sets
-per class. Both stay within the 9^k bound, since d <= t = 2(k-1).
+one per reached set on dense grounds. Each member of ``absorb`` extends at
+most 2^d reached sets. Both stay within the 9^k bound, since d <= t = 2(k-1).
 """
 
 from __future__ import annotations
@@ -106,14 +107,14 @@ def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
     otherwise, before any table is allocated). The uncovered vertices come in
     the classes of ``kernel.compute_classes``, which checks that they induce
     a clique and that ``m`` shows no witness of a larger antimatching. In any
-    proper coloring each
-    clique color absorbs a stable set of its vertex's covered non-neighbours
-    and fresh classes cover the rest, so sigma is the least extra weight of
-    an absorbed set U plus ``fresh[covered - U]``, over the sets U the
-    absorb pass reaches. Work is, per neighbourhood class, the sets reached
-    before it times the pieces its members may take, plus, for ``fresh``,
-    the reached sets times their maximal classes: one class per set on dense
-    grounds, at most about 2.45^t steps in all for t covered vertices.
+    proper coloring each clique color absorbs a stable set of its vertex's
+    covered non-neighbours and fresh classes cover the rest, so sigma is the
+    least extra weight of an absorbed set U plus ``fresh[covered - U]``,
+    over the sets U the absorb pass reaches. Work is, per absorbing member,
+    the sets reached before it times the pieces it may take, plus, for
+    ``fresh``, the reached sets times their maximal classes: one class per
+    set on dense grounds, at most about 2.45^t steps in all for t covered
+    vertices.
     """
     covered = m.covered_mask
     t = covered.bit_count()
@@ -170,71 +171,49 @@ def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
         fresh_parents[x] = best_s
         return best
 
-    # the classes with covered non-neighbours N, heaviest member first; a
-    # class without any stays singletons, already paid for in base. The
-    # members that absorb take disjoint non-empty pieces of N, so at most |N|
-    # of a class do, and its first |N|, the heaviest, do so cheapest
-    groups = []
+    # the members that may absorb, heaviest-member class first, each with its
+    # class's covered non-neighbours N; a class without any stays singletons,
+    # already paid for in base. Its members that absorb take disjoint
+    # non-empty pieces of N, so at most |N| do, and its first |N|, the
+    # heaviest, do so cheapest
+    absorbers = []
     for cls in sorted(part.classes, key=lambda c: (-w[c.vertices[0]], c.vertices[0])):
         blind = covered & ~g.adjacency[cls.vertices[0]]
         if blind:
-            groups.append((local(blind), cls.vertices[: blind.bit_count()]))
+            nbar = local(blind)
+            absorbers += [(nbar, v) for v in cls.vertices[: blind.bit_count()]]
 
+    # absorb, forward over the members: cost[U] is the least extra weight at
+    # which the members so far take exactly U, and steps[i][U] = (U0, piece)
+    # when member i lowered it from U0, a set reached before the member; each
+    # member takes one maximal piece of what is left of its N, or none
     pieces = {}  # set still available -> the (head, piece) pairs it offers
-
-    def takes(avail: int, members: tuple[int, ...]) -> dict[int, tuple[int, tuple]]:
-        """Each set the members (heaviest first) can take out of ``avail``,
-        at its least extra weight, with the pieces they take: the i-th member
-        the i-th heaviest-headed, each maximal, since taking more vertices
-        after the head is free and leaves less for the rest."""
-        out = {}
-        stack = [(0, 0, avail, ())]  # set taken, extra weight, heads left, pieces
-        while stack:
-            u, extra, heads, took = stack.pop()
-            if took and extra < out.get(u, (_INF,))[0]:
-                out[u] = (extra, took)
-            if len(took) == len(members):
-                continue
-            wv = w[members[len(took)]]
-            rest = avail ^ u
-            got = pieces.get(rest)
-            if got is None:
-                got = pieces[rest] = [(j, s) for j in bits(rest) for s in headed(rest, j)]
-            for j, s in got:
-                if heads >> j & 1:
-                    e = extra + wg[j] - wv if wg[j] > wv else extra
-                    stack.append((u | s, e, later[j], (*took, s)))
-        return out
-
-    # absorb, forward over the groups: cost[U] is the least extra weight at
-    # which the groups so far take exactly U, and steps[i][U] = (U0, pieces)
-    # when group i lowered it from U0, a set reached before the group
     cost = {0: 0}
     steps = []
-    for blind, members in groups:
+    for blind, v in absorbers:
+        wv = w[v]
         found = {}
-        options = {}  # set still available -> takes(set, members)
         for u0, c0 in list(cost.items()):
             avail = blind & ~u0
             if not avail:
                 continue
-            opts = options.get(avail)
-            if opts is None:
-                opts = options[avail] = takes(avail, members)
-            for s, (extra, took) in opts.items():
+            got = pieces.get(avail)
+            if got is None:
+                got = pieces[avail] = [(j, s) for j in bits(avail) for s in headed(avail, j)]
+            for j, s in got:
+                c = c0 + wg[j] - wv if wg[j] > wv else c0
                 u = u0 | s
-                if c0 + extra < cost.get(u, _INF):
-                    cost[u] = c0 + extra
-                    found[u] = (u0, took)
+                if c < cost.get(u, _INF):
+                    cost[u] = c
+                    found[u] = (u0, s)
         steps.append(found)
 
     sigma, u = min((c + cover(full ^ u), u) for u, c in cost.items())
     taken = {}
-    for (_, members), found in zip(reversed(groups), reversed(steps)):
+    for (_, v), found in zip(reversed(absorbers), reversed(steps)):
         step = found.get(u)
         if step:
-            u, took = step
-            taken.update(zip(members, took))
+            u, taken[v] = step
     return DPTable(ground, clique, base, fresh, fresh_parents, taken, sigma)
 
 

@@ -187,8 +187,9 @@ def _as_mask(g: WeightedGraph, s: Iterable[int]) -> int:
 
 def is_stable(g: WeightedGraph, s: Iterable[int]) -> bool:
     """True iff no two vertices of ``s`` are adjacent."""
-    mask = _as_mask(g, s)
-    for v in bits(mask):
+    vs = list(s)
+    mask = _as_mask(g, vs)
+    for v in vs:
         if g.adjacency[v] & mask:
             return False
     return True

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import WeightedGraph, bits, complement
 
 
 @dataclass(frozen=True)
 class Antimatching:
-    """Vertex-disjoint non-edge pairs of a graph on ``n`` vertices."""
+    """Vertex-disjoint non-edge pairs of a graph on ``n`` vertices; the
+    covered mask and the residual clique are computed on first access."""
 
     pairs: tuple[tuple[int, int], ...]
     n: int
@@ -27,14 +29,14 @@ class Antimatching:
     def size(self) -> int:
         return len(self.pairs)
 
-    @property
+    @cached_property
     def covered_mask(self) -> int:
         mask = 0
         for u, v in self.pairs:
             mask |= (1 << u) | (1 << v)
         return mask
 
-    @property
+    @cached_property
     def residual_clique(self) -> tuple[int, ...]:
         """Vertices not covered by any pair, ascending."""
         covered = self.covered_mask

@@ -193,6 +193,27 @@ def absorb_heavy_graph() -> WeightedGraph:
     return WeightedGraph(n, adj, (1,) * n)
 
 
+def subset_clique_graph(d: int, seed: int) -> WeightedGraph:
+    """A stable set D = 0..d-1, a partner d + i missing only D's vertex i,
+    and one vertex per non-empty subset S of D, missing exactly S; weights
+    1-6 drawn from ``seed``. n = 2d + 2^d - 1, a maximum antimatching pairs
+    each vertex of D with its partner (t = 2d), and the residual clique
+    falls into 2^d - 1 neighbourhood classes, one per S.
+    """
+    n = 2 * d + (1 << d) - 1
+    missing = [0] * n
+    nonedges = list(itertools.combinations(range(d), 2))
+    nonedges += [(i, d + i) for i in range(d)]
+    nonedges += [(i, 2 * d + s - 1) for s in range(1, 1 << d) for i in bits(s)]
+    for u, v in nonedges:
+        missing[u] |= 1 << v
+        missing[v] |= 1 << u
+    full = (1 << n) - 1
+    adj = tuple(full ^ (m | 1 << v) for v, m in enumerate(missing))
+    rng = random.Random(seed)
+    return WeightedGraph(n, adj, tuple(rng.randint(1, 6) for _ in range(n)))
+
+
 def is_valid_antimatching(g: WeightedGraph, am: Antimatching) -> bool:
     """Pairs are vertex-disjoint non-edges of ``g``."""
     seen: set[int] = set()

@@ -37,6 +37,7 @@ from conftest import (
     join,
     path_graph,
     random_graph,
+    subset_clique_graph,
 )
 
 
@@ -202,14 +203,14 @@ def test_absorb_layers_only_for_absorbers():
 # certificate the table picks, so that a change of its bit order or its
 # recurrence cannot change one unnoticed.
 _PINNED_TABLE_ANSWERS = {
-    (200, 6, 1): (627, "b7d69f2e21daceef6edba956936c93683445ffde517d540a3c526a140bf32d21"),
-    (200, 6, 2): (583, "fec5119501508eade507d8a350998608bf5c54a216f7d61e4366be0d2de48742"),
+    (200, 6, 1): (627, "bf89fc1d120fd7f1f7655cc4f95fd6cf1180615969239b9daa272b08bd212243"),
+    (200, 6, 2): (583, "4def3463acab46949fd275c906e205ba0c7b2eeadd55ea6d98e3524494fab7dc"),
     (200, 7, 1): (621, "6c1aebd0949ecaf8b38599e8bda181ff7f826cdb23b4abeb910c46fce32859ba"),
     (200, 7, 2): (593, "2b270fa7937f5e3376cfb8a4d0211f288accc011807ad00db7f9312d3d0f9803"),
     (200, 8, 1): (609, "835a9668a484bfadd9997a6e8f3a5d2bd96306f6ecdc24afa24c4cec29473417"),
     (200, 8, 2): (585, "aef909b7fbecb8db08a1066e07884d6ddb63b1ca8091e84ef2199b4af52100ac"),
     (240, 3, 1): (734, "ac9a1e8886a6516a7bbaf35cc7288b3dcb920ed7bb751aa9d36def206a8f0fc8"),
-    (320, 4, 1): (943, "c5223915423a545af2901dcecbcd2e53752b9a6841dca9846de7147d3bbb8d62"),
+    (320, 4, 1): (943, "b415952c8ada0189da3e64f61e9f714fdabd1e2ea5b9b7b7edd3fbdc049a0d3e"),
     (400, 5, 1): (1220, "ab0e9c6bd24e7f0e5e8119edb3bea9eaaf4f4cf523f902589bdb32a8e03fc1ad"),
 }
 
@@ -265,6 +266,35 @@ def test_absorb_heavy_graph_solves_in_little_memory():
     cert = extract_certificate(t)
     assert is_proper(g, cert) and coloring_weight(g, cert) == 611
 
+
+
+def test_two_members_of_one_class_absorb_disjoint_pieces():
+    # 4, 5 and 6 form one class blind to the adjacent pair 0 and 2, so the
+    # optimum needs its two heaviest members to take one each; 6 stays alone
+    nonedges = {(0, 1), (2, 3)} | {(v, u) for v in (0, 2) for u in (4, 5, 6)}
+    edges = [e for e in itertools.combinations(range(7), 2) if e not in nonedges]
+    g = build_graph(7, edges, [5, 1, 3, 1, 6, 4, 2])
+    am = maximum_antimatching(g)
+    assert am.pairs == ((0, 1), (2, 3))
+    assert [c.vertices for c in compute_classes(g, am).classes] == [(4, 5, 6)]
+    t = build_dp(g, am)
+    assert t.sigma == sigma_exact(g) == 14
+    assert t.taken == {4: 1 << 0, 5: 1 << 2}
+    cert = extract_certificate(t)
+    assert is_proper(g, cert) and coloring_weight(g, cert) == 14
+
+
+def test_subset_clique_ground_is_pinned():
+    # 255 neighbourhood classes, one per non-empty subset of the stable D,
+    # against absorb_heavy_graph's 11; sigma from the per-class absorb pass
+    g = subset_clique_graph(8, 1)
+    am = maximum_antimatching(g)
+    assert (g.n, 2 * am.size) == (271, 16)
+    assert len(compute_classes(g, am).classes) == 255
+    t = build_dp(g, am)
+    assert t.sigma == 942
+    cert = extract_certificate(t)
+    assert is_proper(g, cert) and coloring_weight(g, cert) == 942
 
 @st.composite
 def small_graphs(draw):
