@@ -59,7 +59,6 @@ from .kernel import (
     compute_classes,
     kernel_size_limit,
     kernelize,
-    remove_universal_vertices,
     replay_log,
     truncate_classes,
 )

@@ -201,8 +201,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         report = audit_split_bounds(inst, profile)
         _emit({"mode": "split", **asdict(report), "passed": True})
         return 0
-    # neighborhood-class audit of the kernel's own round: the partition of
-    # the universal-free graph under its antimatching, before truncation
+    # neighborhood-class audit of the kernel's own partition: the input
+    # graph's clique classes under its antimatching, before truncation
     trace = kernelize(inst)
     report = None if trace.claims is None else asdict(trace.claims)
     shortcut = _yes_no(trace.verdict_shortcut)

@@ -172,16 +172,15 @@ def build_dp(g: WeightedGraph, m: Antimatching) -> DPTable:
         return best
 
     # the members that may absorb, heaviest-member class first, each with its
-    # class's covered non-neighbours N; a class without any stays singletons,
-    # already paid for in base. Its members that absorb take disjoint
-    # non-empty pieces of N, so at most |N| do, and its first |N|, the
-    # heaviest, do so cheapest
+    # class's covered non-neighbours N; clique vertices in no class have none
+    # and stay singletons, already paid for in base. A class's members that
+    # absorb take disjoint non-empty pieces of N, so at most |N| do, and its
+    # first |N|, the heaviest, do so cheapest
     absorbers = []
     for cls in sorted(part.classes, key=lambda c: (-w[c.vertices[0]], c.vertices[0])):
-        blind = covered & ~g.adjacency[cls.vertices[0]]
-        if blind:
-            nbar = local(blind)
-            absorbers += [(nbar, v) for v in cls.vertices[: blind.bit_count()]]
+        blind = covered ^ cls.signature
+        nbar = local(blind)
+        absorbers += [(nbar, v) for v in cls.vertices[: blind.bit_count()]]
 
     # absorb, forward over the members: cost[U] is the least extra weight at
     # which the members so far take exactly U, and steps[i][U] = (U0, piece)

@@ -363,7 +363,7 @@ def audit_split_bounds(inst: DualInstance, profile: SplitProfile) -> SplitAuditR
 
     residual = remark = None
     if not shortcut:
-        # the kernel keeps the round's antimatching, which stays maximum
+        # the kernel keeps its antimatching, which stays maximum
         residual = size - 2 * trace.claims.antimatching_size
         remark = 2 * inst.k - 2 + residual
         if size > remark:

@@ -9,9 +9,17 @@ Two rules shrink an instance without changing the answer:
   |M| heaviest members (a swap argument shows the rest can always be
   recolored as singletons).
 
-Both rules rest on one maximum antimatching M of the universal-free graph,
-and one round of them is already a fixpoint. Truncation deletes only
-uncovered vertices, so:
+Given one maximum antimatching M they are one rule: keep the covered
+vertices and the first |M| of each class of clique vertices with a covered
+non-neighbor. A covered vertex is never universal (its partner is a
+non-neighbor), and a clique vertex seeing every covered vertex sees every
+vertex, so the universal vertices are exactly the clique vertices in no
+class. M is computed on the input graph: universal vertices are isolated
+in its complement, so M is also a maximum antimatching of the
+universal-free graph, with the same pairs.
+
+One application is already a fixpoint. It deletes only uncovered vertices,
+so:
 
 * M stays an antimatching of the kernel, since its pairs are untouched;
 * M stays maximum, since deleting vertices never raises the matching
@@ -31,7 +39,6 @@ endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
 
 from .errors import (
     ClaimViolation,
@@ -68,10 +75,11 @@ def kernel_size_limit(k: int) -> int:
 
 @dataclass(frozen=True)
 class NeighborhoodClass:
-    """Residual-clique vertices sharing one covered neighborhood, heaviest first."""
+    """Residual-clique vertices sharing one covered neighborhood, heaviest
+    first; ``signature`` is its mask of covered neighbors."""
 
     vertices: tuple[int, ...]
-    signature: frozenset[int]
+    signature: int
     special: bool
 
 
@@ -112,11 +120,10 @@ class KernelTrace:
     ``vertex_map[new_id] = original_id``; it is None when the reduction
     resolved the instance outright and ``reduced`` is one of the canonical
     instances (``verdict_shortcut`` then carries the answer). ``claims`` is
-    :func:`audit_claims` of the round's class partition, taken before
-    truncation; it is None exactly when ``verdict_shortcut`` is set.
-    ``antimatching_size`` is the size of the round's maximum antimatching,
-    which is also that of the input graph: universal vertices are isolated
-    in the complement.
+    :func:`audit_claims` of the class partition, taken before truncation;
+    it is None exactly when ``verdict_shortcut`` is set.
+    ``antimatching_size`` is the size of the input graph's maximum
+    antimatching, which is also that of the universal-free graph.
     """
 
     reduced: DualInstance
@@ -137,44 +144,13 @@ def canonical_no_instance(k: int) -> DualInstance:
     return DualInstance(build_graph(1, [], [1]), k)
 
 
-def remove_universal_vertices(
-    inst: DualInstance,
-) -> tuple[DualInstance, tuple[int, ...]]:
-    """Delete every universal vertex; k is unchanged.
-
-    One scan suffices: deleting a universal vertex never changes whether
-    another vertex is universal, since a vertex with a non-neighbor keeps
-    it (that non-neighbor is not universal either). Deleted ids ascend.
-    """
-    g = inst.graph
-    deleted = tuple(v for v in range(g.n) if is_universal(g, v))
-    return DualInstance(_delete(g, deleted), inst.k), deleted
-
-
-def _without(ids: Sequence[int], doomed: Iterable[int]) -> tuple[int, ...]:
-    """``ids`` minus its entries at the positions ``doomed``, order kept.
-
-    On ``range(g.n)`` this is the new-to-old id map of deleting ``doomed``
-    from ``g`` (the one :func:`induced_subgraph` returns); on such a map it
-    composes one more deletion onto it.
-    """
-    gone = set(doomed)
-    return tuple(v for i, v in enumerate(ids) if i not in gone)
-
-
-def _delete(g: WeightedGraph, doomed: Collection[int]) -> WeightedGraph:
-    """``g`` without the vertices ``doomed``; ``g`` itself when none is."""
-    if not doomed:
-        return g
-    reduced, _ = induced_subgraph(g, _without(range(g.n), doomed))
-    return reduced
-
-
 def compute_classes(g: WeightedGraph, m: Antimatching) -> ClassPartition:
-    """Partition the residual clique by neighborhood among covered vertices.
+    """Group the residual clique by neighborhood among covered vertices.
 
     This is the one place the residual clique is grouped, ranked and
-    checked. Classes come in first-member order, and each lists its vertices
+    checked. Only clique vertices with a covered non-neighbor are grouped:
+    the others are the universal vertices. Classes come in first-member
+    order, keyed by their covered-neighbor masks, and each lists its vertices
     heaviest first with ties to the lower id, so :func:`truncate_classes`
     and ``fpt.build_dp`` keep prefixes of them. The uncovered vertices must
     induce a clique (:class:`PreconditionViolated` otherwise), and a class of
@@ -191,7 +167,9 @@ def compute_classes(g: WeightedGraph, m: Antimatching) -> ClassPartition:
     # the clique ascends, so the groups come in first-member order
     groups: dict[int, list[int]] = {}
     for v in clique:
-        groups.setdefault(g.adjacency[v] & covered, []).append(v)
+        sig = g.adjacency[v] & covered
+        if sig != covered:
+            groups.setdefault(sig, []).append(v)
     special: set[int] = set()  # the signatures of blind classes
     k_s = 0
 
@@ -212,14 +190,11 @@ def compute_classes(g: WeightedGraph, m: Antimatching) -> ClassPartition:
         special |= blind
         k_s += len(blind)
 
-    # sorts keep equal keys in order, reversed too, so ties stay id-ascending;
-    # a signature is the covered set less the class's covered non-neighbours,
-    # which are few on dense grounds
-    covered_set = frozenset(bits(covered))
+    # sorts keep equal keys in order, reversed too, so ties stay id-ascending
     classes = tuple(
         NeighborhoodClass(
             vertices=tuple(sorted(vs, key=g.weights.__getitem__, reverse=True)),
-            signature=covered_set.difference(bits(covered ^ sig)),
+            signature=sig,
             special=sig in special,
         )
         for sig, vs in groups.items()
@@ -229,54 +204,60 @@ def compute_classes(g: WeightedGraph, m: Antimatching) -> ClassPartition:
 
 def truncate_classes(
     g: WeightedGraph, m: Antimatching, part: ClassPartition
-) -> tuple[WeightedGraph, tuple[int, ...]]:
-    """Keep only the |M| heaviest vertices of each class, its first |M|.
+) -> tuple[WeightedGraph, tuple[int, ...], tuple[int, ...]]:
+    """The kernel: the covered vertices plus the |M| heaviest vertices of
+    each class, its first |M|; the clique vertices in no class, the
+    universal ones, go as well.
 
-    Requires at least one pair, which exhaustive universal-vertex deletion
-    guarantees on non-empty graphs.
+    Returns the kernel, the class members it deletes (class by class,
+    ascending within one) and the kept ids (``kept[new_id] = old_id``).
+    Requires at least one pair, which a graph with a non-universal vertex
+    has.
     """
     if m.size < 1:
         raise PreconditionViolated("truncation needs a non-empty antimatching")
-    doomed = [v for cls in part.classes for v in sorted(cls.vertices[m.size :])]
-    return _delete(g, doomed), tuple(doomed)
+    keep = list(bits(m.covered_mask))
+    doomed: list[int] = []
+    for cls in part.classes:
+        keep += cls.vertices[: m.size]
+        doomed += sorted(cls.vertices[m.size :])
+    reduced, kept = induced_subgraph(g, keep)
+    return reduced, tuple(doomed), kept
 
 
 def kernelize(inst: DualInstance) -> KernelTrace:
-    """Apply both rules once, resolving trivial outcomes inline.
+    """Apply the kernel rule once, resolving trivial outcomes inline.
 
-    Delete every universal vertex; compute one maximum antimatching M; with
-    >= k pairs emit the canonical yes-instance, on an empty graph the
-    canonical no-instance; otherwise audit the class partition and truncate
-    oversized classes. The result is a fixpoint of both rules: truncation
-    keeps M a maximum antimatching, makes no vertex universal and leaves
-    every class with at most |M| members (see the module docstring).
+    Log the universal vertices; compute one maximum antimatching M of the
+    input graph; with >= k pairs emit the canonical yes-instance, with none
+    (every vertex universal) the canonical no-instance; otherwise audit the
+    class partition and build the kernel with one rebuild of the graph. The
+    result is a fixpoint of both rules: M stays a maximum antimatching, no
+    vertex becomes universal and every class keeps at most |M| members (see
+    the module docstring).
     """
-    k = inst.k
-    n = inst.graph.n
-    inst, universal = remove_universal_vertices(inst)
+    g, k = inst.graph, inst.k
+    universal = tuple(v for v in range(g.n) if is_universal(g, v))
     log = [RuleApplication(RULE_UNIVERSAL, universal)] if universal else []
-    g = inst.graph
 
     am = maximum_antimatching(g)
     if am.size >= k:
         return KernelTrace(canonical_yes_instance(k), tuple(log), None, True, None, am.size)
-    if g.n == 0:
+    if am.size == 0:
         return KernelTrace(canonical_no_instance(k), tuple(log), None, False, None, am.size)
 
     part = compute_classes(g, am)
     claims = audit_claims(g, am, part)
-    reduced, doomed = truncate_classes(g, am, part)
-    ids = _without(range(n), universal)  # current id -> original id
+    reduced, doomed, kept = truncate_classes(g, am, part)
     if doomed:
-        log.append(RuleApplication(RULE_TRUNCATE, tuple(ids[v] for v in doomed)))
-    return KernelTrace(
-        DualInstance(reduced, k), tuple(log), _without(ids, doomed), None, claims, am.size
-    )
+        log.append(RuleApplication(RULE_TRUNCATE, doomed))
+    return KernelTrace(DualInstance(reduced, k), tuple(log), kept, None, claims, am.size)
 
 
 def replay_log(g: WeightedGraph, log: tuple[RuleApplication, ...]) -> WeightedGraph:
     """Apply the logged deletions to the original graph."""
-    return _delete(g, {v for app in log for v in app.deleted})
+    gone = {v for app in log for v in app.deleted}
+    return induced_subgraph(g, (v for v in range(g.n) if v not in gone))[0]
 
 
 def audit_claims(
@@ -295,8 +276,7 @@ def audit_claims(
     The maximality facts these counts rest on (no blind class of two or more
     vertices, no two classes missing opposite endpoints of a pair) are
     checked where ``part`` is built, by :func:`compute_classes`. The count
-    bounds presuppose a graph with no universal vertex and a maximum
-    antimatching, as produced by :func:`kernelize`.
+    bounds presuppose a maximum antimatching, as :func:`kernelize` computes.
     """
     sigs = {c.signature for c in part.classes}
     if len(sigs) != len(part.classes):
@@ -304,9 +284,8 @@ def audit_claims(
 
     special_classes = 0
     for cls in part.classes:
-        blind = any(
-            x not in cls.signature and y not in cls.signature for x, y in m.pairs
-        )
+        sig = cls.signature
+        blind = any(not sig >> x & 1 and not sig >> y & 1 for x, y in m.pairs)
         special_classes += blind
         if blind != cls.special:
             raise ClaimViolation("class_partition", "special tag inconsistent")

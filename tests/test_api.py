@@ -24,7 +24,7 @@ PUBLIC = [
     "interval_kernel_limit", "intervals_to_graph", "is_clique", "is_proper",
     "is_stable", "is_universal", "kernel_size_limit", "kernelize",
     "maximal_cliques_ordered", "maximum_antimatching", "maximum_matching",
-    "random_instance", "reduce_setcover", "remove_universal_vertices",
+    "random_instance", "reduce_setcover",
     "replay_log", "shortcut_certificate", "sigma_exact", "solve_dual",
     "split_partition", "truncate_classes", "vertex_clique_spans",
 ]

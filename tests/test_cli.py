@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -18,10 +19,10 @@ from dwcolor import cli
 from dwcolor.cli import main
 from dwcolor.formats import parse_dwc, serialize_dwc
 from dwcolor.fpt import DualInstance
-from dwcolor.instances import bench_instance
+from dwcolor.instances import bench_instance, gen_tight_general
 from dwcolor.kernel import kernelize
 from dwcolor.graph import Coloring, build_graph, coloring_weight, is_proper
-from conftest import absorb_heavy_graph, complete_graph
+from conftest import absorb_heavy_graph, complete_graph, cycle_graph, star_graph
 
 P3 = "p dwc 3 2 1\nw 1 1\nw 2 2\nw 3 1\ne 1 2\ne 2 3\n"
 K2 = "p dwc 2 1 1\nw 1 3\nw 2 5\ne 1 2\n"
@@ -334,6 +335,85 @@ def test_audit_claims_reports_the_kernel_round(tmp_path, capsys):
     trace = kernelize(parse_dwc(text))
     assert report == asdict(trace.claims)
     assert trace.reduced.graph.n < 5
+
+
+# sha256 of `kernelize --emit-trace` stdout followed by `audit` stdout, both
+# exiting 0; pinned so that a change to how the kernel is derived cannot
+# change what either command prints
+_PINNED_KERNEL_OUTPUTS = {
+    "bench-60-3": "08e91d2b896273e014be752dc28b20d3cb408ec48cd768d5368b6cdd0a067142",
+    "bench-60-4": "07a3fcc2be0c74ff4191974e0a93a95ca98c65ddae8335659a14797e565faa2b",
+    "bench-60-5": "139484cfa3c04fda57f176cd5b12d6a07df3570776369bc296d24b2d29d65f01",
+    "bench-64-3": "af5abce3e2fda0f606cbb38a7ecad7fd2d5dfd35984654f3a7442c7d1a946f40",
+    "bench-64-4": "044bf97059550007e4a1017ffcf1f693d9562ede420c8841afec14cd8764979a",
+    "bench-64-5": "40f3d75bb654c938276b952d1e6150e02ee4f7c049ce01a92ca94f14a338a52a",
+    "bench-68-3": "344bdbbe43bac65b2ca2e110eade4f3411995a756bdf76a8715aa5ac9a709e5f",
+    "bench-68-4": "450cf4b535b7e07d6251704537c735d4050ce5328f25628dc9c25d5f19f89cab",
+    "bench-68-5": "fcde3174a596f5b22c71da5538bf457fb443942b0efcdcf624ef3afad430f98e",
+    "bench-72-3": "e5a9caf462d5e20d7fffc852e05d58da5b59a0195ff2077657ead0694c6bc56c",
+    "bench-72-4": "175048973dec6c35f9a7deef6eed5acf8423e71a38cfc83a7517d8687213d6c9",
+    "bench-72-5": "7c79e43b1432974c2bc5e0aeb4ea966f10d4e83d0dbd82b59d467c3a7fa8cdac",
+    "bench-76-3": "bce758dc2605e1ee8ffef6707391dd41e441010e4e73ad2e2cfd3067b39eaad8",
+    "bench-76-4": "f293a40160b8070aeb48d9a24c1e2c20931f95ed6ae2133a719e5dbd98ebffb0",
+    "bench-76-5": "9c34cba1d27e97c0e43241beadd0390512c16b1bdf3d91729f913c09af4ca7a7",
+    "bench-80-3": "75cdd3530ee67d15487e4ef7f86ee1aac6eb48f64a63e5b8e60a147eb2b317af",
+    "bench-80-4": "b82f2a41774afb756ba58215a53a497703807a40584233ccda7d754ab2392086",
+    "bench-80-5": "86767dc3a61c6e8b1d9c9d960d46b9d29c70c0cd225bb291e4fb3500e63999a9",
+    "bench-84-3": "f62eff87078346d8fab3a80071f0196429f9ea4b7800e5523872d2869c8d1f38",
+    "bench-84-4": "cfcebb32d6b549d37b50ecda76f2e45ef8317444e95adb1ef575fbf5acd86717",
+    "bench-84-5": "c454d40386b0c87fe0c3b1ad2d0a719965246396637a9e363891b69afd65e2a9",
+    "bench-88-3": "a9e7bd80ec86f96800713250415824c1dce34c2ac5bc66dea7cb7c2715385059",
+    "bench-88-4": "dad11a5f29f0b9384f77410be12c05796867017990015aac52e30310f209ae6d",
+    "bench-88-5": "73f6de0dddeb94099d579ce42c7ceb6b4b8ff4e33913ba8c535c065f4624fa99",
+    "bench-92-3": "543c479779a6e89c3edee5cafdb4a5b79d3960e1eee97ff49974fe944e010b28",
+    "bench-92-4": "d8b56e63931381c5ef176ae145cb952700eae9f93ef1344dfec064cce9f04dc0",
+    "bench-92-5": "bef381dfc3116ca2c8f4108295f5eb0cdf6de5f9731604dedc45c8588f660115",
+    "bench-96-3": "2ccc8be0498b1bb3d89e2a24ce9142ffdeaf22ddae280b2e5e2516dddd1b7baa",
+    "bench-96-4": "9ef4707ccf617228381ce4fa7b0d92e2d2783fb8d51492e9e80cc56a759c2e31",
+    "bench-96-5": "a0e66ec3565b00a4f874e392774eb3ef84e9ec47b5833ab494dac93481598512",
+    "bench-100-3": "c8fdf65f585094ea3e9250f45333878c7578e3fdd706f79e7d5448e227af716b",
+    "bench-100-4": "0030f3c0b8b66e550f6e7bcb12983ab8d96aba71770fe12f596ed831574000a3",
+    "bench-100-5": "eaa1164cd9eb79eaf66aa7567cdc3410515ccd547f6b62675cb56ab58e0c8253",
+    "bench-104-3": "10b84ec0ea8c53c195db6e8f8336b50502c5ba23eb58a2366dfd41d7a8494739",
+    "bench-104-4": "65fc25a60d5ed1f4b016f1597180f566ffa176b2404e66d2ce1845119c76446b",
+    "bench-104-5": "d7074ff243c86cccf2347a9370cad5801c6935e7ceb507fcb050bbe2c7417593",
+    "bench-108-3": "4657b93e899bb5256a70c47e877a9cc0669cddb3c9515350da7332584acb9a4f",
+    "bench-108-4": "1187003c4677f32842ff566c2c7c7c64974fd7ef08bae6b5bc8cf0cf9543c6ae",
+    "bench-108-5": "1301bcfe25e1f2f4c55f2a1fd1a6ef3093a224fcd4f22f9abe71a5022366112f",
+    "bench-112-3": "b242df102da62f024b6ea0c2608775309893a505f66f03633edabb8cdb409617",
+    "bench-112-4": "5b353f487be37f231e5cc8343075ce094fcd94df46eb20385b21c111ff74c25b",
+    "bench-112-5": "87963e5d430bcc89bd5ba7fe75ca785c6190b506e6f0cc201fd6fcfd3ef67381",
+    "bench-116-3": "0ecc186fe8bfaabc6d258e047b02da63025317e16756fc9e6003f685ec01be07",
+    "bench-116-4": "708f26b6c81722b5605b0332b1e2c17a30d6acc3450d79152d99ebe5e4ab9592",
+    "bench-116-5": "381bfafbe85496f840c58371e68c90fbceeb4e9c2e60364a183aaf6a69bd4e72",
+    "tight-2": "90dbf5d8d329a2b2de9b7209f9ac4c05cbca2638688c1ebfc8a413b981e421d5",
+    "tight-3": "ee21eb631842ae78a33922be5133974344d5f0f883f06a2a50406cb7b5bbc208",
+    "tight-4": "6ff2c3efaa9c691ab1a90eb25ba5a815cd185fd99b6f9e591c0112f35038a802",
+    "tight-5": "0213643436b83ba861d23d4050fbc200e9b8f97af59d7d5f8d7813785013cc27",
+    "K5": "5ba0ed2a899aa967ae7511eeb484a972a7c7431674f87b6270ea675802fa6ddc",
+    "star": "b0fbe9e9cd19abd08600e9deef7d6cde260c08cd92dd79bc28af6be96f4863d8",
+    "C4": "41ef4c558159c9e56bc07b47920441f805e5e5103b409e73b893ebe6b4949666",
+}
+
+
+def _pinned_kernel_instance(name: str) -> DualInstance:
+    kind, *args = name.split("-")
+    if kind == "bench":
+        return bench_instance(int(args[0]), int(args[1]), 1)
+    if kind == "tight":
+        return gen_tight_general(int(args[0]))
+    graphs = {"K5": (complete_graph(5), 1), "star": (star_graph(3), 2), "C4": (cycle_graph(4), 3)}
+    return DualInstance(*graphs[kind])
+
+
+@pytest.mark.parametrize("name", list(_PINNED_KERNEL_OUTPUTS))
+def test_kernel_outputs_are_pinned(tmp_path, capsys, name):
+    path = tmp_path / "inst.dwc"
+    path.write_text(serialize_dwc(_pinned_kernel_instance(name)))
+    assert main(["kernelize", str(path), "--emit-trace"]) == 0
+    assert main(["audit", str(path)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _PINNED_KERNEL_OUTPUTS[name]
 
 
 def test_audit_interval(tmp_path, capsys):

@@ -12,9 +12,13 @@ from dwcolor import (
     is_universal,
 )
 import dwcolor.kernel as kernel
-from dwcolor.fpt import DualInstance
+from dwcolor.fpt import DualInstance, build_dp
+from dwcolor.graph import WeightedGraph, bits
 from dwcolor.instances import bench_instance, gen_tight_general, random_instance
 from dwcolor.kernel import (
+    RULE_TRUNCATE,
+    RULE_UNIVERSAL,
+    RuleApplication,
     audit_claims,
     canonical_no_instance,
     canonical_yes_instance,
@@ -22,12 +26,12 @@ from dwcolor.kernel import (
     compute_classes,
     kernel_size_limit,
     kernelize,
-    remove_universal_vertices,
     replay_log,
     truncate_classes,
 )
 from dwcolor.matching import Antimatching, maximum_antimatching
-from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from dwcolor.oracle import sigma_exact
+from conftest import complete_graph, cycle_graph, join, random_graph, star_graph
 
 
 def test_canonical_instances_decide_as_named():
@@ -40,20 +44,21 @@ def test_canonical_instances_decide_as_named():
 
 def test_universal_rule():
     kn = complete_graph(4, [2, 3, 4, 5])
-    red, deleted = remove_universal_vertices(DualInstance(kn, 1))
-    assert red.graph.n == 0 and deleted == (0, 1, 2, 3)
+    tr = kernelize(DualInstance(kn, 1))
+    assert tr.log == (RuleApplication(RULE_UNIVERSAL, (0, 1, 2, 3)),)
+    assert tr.verdict_shortcut is False
     star = star_graph(3)
-    red, deleted = remove_universal_vertices(DualInstance(star, 2))
-    assert deleted == (0,) and red.graph.n == 3 and red.graph.m == 0
+    tr = kernelize(DualInstance(star, 2))
+    assert tr.log == (RuleApplication(RULE_UNIVERSAL, (0,)),)
+    assert tr.reduced.graph.n == 3 and tr.reduced.graph.m == 0
     c4 = cycle_graph(4)
-    red, deleted = remove_universal_vertices(DualInstance(c4, 2))
-    assert deleted == () and red.graph == c4
+    tr = kernelize(DualInstance(c4, 3))
+    assert tr.log == () and tr.reduced.graph == c4
 
 
-def test_kernelize_rebuilds_graph_at_most_twice_per_round(monkeypatch):
-    # one graph rebuild per rule per round, however many vertices a rule
-    # deletes; a round is one antimatching computation, and one round is a
-    # fixpoint, also when truncation deletes vertices
+def test_kernelize_rebuilds_graph_once(monkeypatch):
+    # one graph rebuild, however many vertices either rule deletes, also
+    # when truncation deletes vertices; one application is a fixpoint
     calls = Counter()
     for name in (
         "induced_subgraph",
@@ -71,28 +76,30 @@ def test_kernelize_rebuilds_graph_at_most_twice_per_round(monkeypatch):
     for k, truncating in ((6, False), (3, True)):
         calls.clear()
         tr = kernelize(bench_instance(60, k, 1))
-        rounds = calls["maximum_antimatching"]
-        universal = [v for app in tr.log if app.rule == "delete_universal" for v in app.deleted]
-        assert len(universal) > 2 * rounds  # dense enough to tell the two apart
-        assert calls["induced_subgraph"] <= 2 * rounds
-        assert any(app.rule == "truncate_class" for app in tr.log) == truncating
-        assert rounds == calls["compute_classes"] == calls["truncate_classes"] == 1
-        assert calls["induced_subgraph"] <= 2
+        universal = [v for app in tr.log if app.rule == RULE_UNIVERSAL for v in app.deleted]
+        assert len(universal) > 1
+        assert any(app.rule == RULE_TRUNCATE for app in tr.log) == truncating
+        assert calls["maximum_antimatching"] == calls["compute_classes"] == 1
+        assert calls["truncate_classes"] == calls["induced_subgraph"] == 1
 
 
 def test_compute_classes_simple():
+    # every vertex of K5 is universal, so it has no class
     k5 = complete_graph(5)
     part = compute_classes(k5, Antimatching((), 5))
-    assert len(part.classes) == 1
-    assert part.classes[0].vertices == (0, 1, 2, 3, 4)
+    assert part.classes == ()
     assert part.k_s == part.k_n == 0
 
-    p3 = path_graph(3)
-    am = maximum_antimatching(p3)
-    part = compute_classes(p3, am)
+    # a triangle 1-2-3 with a pendant 0 at 1: 1 is universal and in no
+    # class, 3 misses the covered 0 and forms a class seeing only 2
+    paw = build_graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)], [1] * 4)
+    am = maximum_antimatching(paw)
+    assert am.pairs == ((0, 2),)
+    part = compute_classes(paw, am)
     assert len(part.classes) == 1
-    assert part.classes[0].vertices == (1,)
-    assert part.classes[0].signature == {0, 2}
+    assert part.classes[0].vertices == (3,)
+    assert part.classes[0].signature == 1 << 2
+    assert not part.classes[0].special and (part.k_s, part.k_n) == (0, 1)
 
 
 def test_compute_classes_detects_non_maximum():
@@ -110,18 +117,18 @@ def test_compute_classes_detects_non_maximum():
 
 
 def test_truncation_keeps_heaviest_with_id_ties():
-    # clique of 5 true twins with one outside non-edge pair
+    # clique of 5 true twins, all blind to 6 of the one non-edge pair (5, 6)
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
-    edges += [(i, 5) for i in range(5)] + [(i, 6) for i in range(5)]
+    edges += [(i, 5) for i in range(5)]
     g = build_graph(7, edges, [1, 5, 4, 5, 2, 9, 9])
     am = Antimatching(((5, 6),), 7)
     part = compute_classes(g, am)
     assert len(part.classes) == 1 and len(part.classes[0].vertices) == 5
     assert part.classes[0].vertices == (1, 3, 2, 4, 0)
-    red, deleted = truncate_classes(g, am, part)
-    # keep weights (5, id 1) then (5, id 3) ... wait |M|=1 keeps only one
+    red, deleted, kept = truncate_classes(g, am, part)
+    # |M| = 1 keeps only the heaviest twin: weight 5, id 1 before id 3
     assert deleted == (0, 2, 3, 4)
-    assert red.n == 3
+    assert red.n == 3 and kept == (1, 5, 6)
 
 
 def test_kernelize_clique_k1():
@@ -181,6 +188,57 @@ def test_kernelize_properties_random():
             assert tr2.reduced.graph == red
         else:
             assert tr.verdict_shortcut == decide_dual_oracle(g, k)
+
+
+def _twin_clique_graph(rng: random.Random) -> WeightedGraph:
+    """A random core plus a clique of twin groups, each group missing one
+    random set of core vertices: classes can outgrow |M| and be truncated."""
+    c = rng.randint(2, 5)
+    core = random_graph(rng, c, rng.choice([0.2, 0.5, 0.8]))
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 2))]
+    n = c + sum(sizes)
+    missing = [((1 << c) - 1) ^ a ^ (1 << u) for u, a in enumerate(core.adjacency)]
+    missing += [0] * (n - c)
+    start = c
+    for size in sizes:
+        miss = rng.getrandbits(c)
+        for v in range(start, start + size):
+            missing[v] = miss
+            for u in bits(miss):
+                missing[u] |= 1 << v
+        start += size
+    full = (1 << n) - 1
+    adj = tuple(full ^ (m | 1 << u) for u, m in enumerate(missing))
+    return WeightedGraph(n, adj, tuple(rng.randint(1, 6) for _ in range(n)))
+
+
+def test_table_reads_exactly_the_kernel():
+    # the kernel loses nothing the table uses: its sigma plus the deleted
+    # weight is sigma, and every clique vertex the table lets absorb is kept
+    rng = random.Random(28)
+    truncated = universal = 0
+    for i in range(600):
+        family = i % 3
+        if family == 0:
+            g = random_graph(rng, rng.randint(3, 12), rng.choice([0.3, 0.6, 0.85, 0.95]))
+        elif family == 1:
+            g = _twin_clique_graph(rng)
+        else:
+            clique = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+            part = random_graph(rng, rng.randint(2, 8), rng.choice([0.2, 0.5]))
+            g = join(part, complete_graph(len(clique), clique))
+        am = maximum_antimatching(g)
+        if am.size == 0:
+            continue
+        tr = kernelize(DualInstance(g, am.size + 1))
+        assert tr.verdict_shortcut is None
+        deleted = [v for app in tr.log for v in app.deleted]
+        truncated += any(app.rule == RULE_TRUNCATE for app in tr.log)
+        universal += any(app.rule == RULE_UNIVERSAL for app in tr.log)
+        weight = sum(g.weights[v] for v in deleted)
+        assert sigma_exact(g) == sigma_exact(tr.reduced.graph) + weight
+        assert set(build_dp(g, am).taken) <= set(tr.vertex_map)
+    assert truncated >= 40 and universal >= 300
 
 
 def test_audit_counts_on_structured_instance():
