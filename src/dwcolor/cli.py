@@ -158,28 +158,28 @@ def cmd_kernelize(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "tight-general":
         inst = gen_tight_general(args.k)
-        out = f"c tight-general k={args.k}\n" + serialize_dwc(inst)
+        comment, body = f"tight-general k={args.k}", serialize_dwc(inst)
     elif args.kind == "tight-interval":
         inst, rep = gen_tight_interval(args.k)
-        out = f"c tight-interval k={args.k}\n" + serialize_interval(rep, args.k)
+        comment, body = f"tight-interval k={args.k}", serialize_interval(rep, args.k)
     elif args.kind == "setcover":
         if not args.path:
             return _fail("setcover generation needs an input set-cover file")
         sc = parse_setcover(_read(args.path))
         inst = reduce_setcover(sc)
-        out = (
-            f"c setcover reduction universe={sc.universe} sets={len(sc.family)} "
-            f"ell={sc.budget}\n" + serialize_dwc(inst)
+        comment = (
+            f"setcover reduction universe={sc.universe} sets={len(sc.family)} ell={sc.budget}"
         )
+        body = serialize_dwc(inst)
     else:  # random
         if args.n is None:
             return _fail("random generation needs --n")
         inst = random_instance(args.n, args.p, args.k, args.seed, args.wmax)
-        out = (
-            f"c random n={args.n} p={args.p} k={args.k} seed={args.seed}\n"
-            + serialize_dwc(inst)
-        )
-    sys.stdout.write(out)
+        comment = f"random n={args.n} p={args.p} k={args.k} seed={args.seed}"
+        body = serialize_dwc(inst)
+    # written apart, so the body is not copied once more behind the comment
+    sys.stdout.write(f"c {comment}\n")
+    sys.stdout.write(body)
     return 0
 
 

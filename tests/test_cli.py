@@ -23,6 +23,7 @@ from dwcolor.instances import bench_instance, gen_tight_general
 from dwcolor.kernel import kernelize
 from dwcolor.graph import Coloring, build_graph, coloring_weight, is_proper
 from conftest import absorb_heavy_graph, complete_graph, cycle_graph, star_graph
+from test_instances import SEEDED_DIGESTS
 
 P3 = "p dwc 3 2 1\nw 1 1\nw 2 2\nw 3 1\ne 1 2\ne 2 3\n"
 K2 = "p dwc 2 1 1\nw 1 3\nw 2 5\ne 1 2\n"
@@ -282,6 +283,17 @@ def test_generate_deterministic_bytes():
     assert a.returncode == 0 and a.stdout == b.stdout
     c = run_cli(["generate", "random", "--n", "20", "--p", "0.5", "--k", "3", "--seed", "8"])
     assert c.stdout != a.stdout
+
+
+def test_generate_writes_the_pinned_dense_text(capsys):
+    # the comment line, then exactly the text whose sha256 test_instances
+    # pins; its rows are dense, so they are written from their non-neighbours
+    args = ["random", "--n", "120", "--p", "0.98", "--k", "5", "--seed", "9"]
+    assert main(["generate", *args]) == 0
+    comment, body = capsys.readouterr().out.split("\n", 1)
+    assert comment == "c random n=120 p=0.98 k=5 seed=9"
+    digest = {(kind, a): d for kind, a, d in SEEDED_DIGESTS}["random", (120, 0.98, 5, 9)]
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 def test_generate_tight_general(tmp_path, capsys):

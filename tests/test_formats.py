@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -188,17 +189,23 @@ def test_serializers_are_canonical():
 
 @st.composite
 def dwc_cases(draw):
-    """An instance on at most 40 vertices (edgeless, any, dense or complete
-    edge set) with its sorted edge list."""
-    n = draw(st.integers(0, 40))
+    """An instance with its sorted edge list: on at most 40 vertices an
+    edgeless, any, dense or complete edge set, or on at most 70 vertices a
+    near-dense one, each pair kept with one probability in 0.6-0.97, whose
+    rows fall on both sides of the writer's dense-row crossover."""
+    kind = draw(st.sampled_from(["edgeless", "any", "dense", "complete", "near-dense"]))
+    n = draw(st.integers(0, 70 if kind == "near-dense" else 40))
     pairs = list(itertools.combinations(range(n), 2))
-    kind = draw(st.sampled_from(["edgeless", "any", "dense", "complete"]))
     if kind == "any":
         chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
         edges = [e for i, e in enumerate(pairs) if chosen >> i & 1]
     elif kind == "dense":
         few = draw(st.sets(st.sampled_from(pairs), max_size=6)) if pairs else set()
         edges = [e for e in pairs if e not in few]
+    elif kind == "near-dense":
+        p = draw(st.floats(0.6, 0.97))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        edges = [e for e in pairs if rng.random() < p]
     else:
         edges = pairs if kind == "complete" else []
     weights = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
@@ -206,10 +213,22 @@ def dwc_cases(draw):
     return DualInstance(build_graph(n, edges, weights), k), edges
 
 
+def _complete_without(n, missing):
+    """K_n without the pairs in ``missing``, as a dwc case."""
+    edges = [e for e in itertools.combinations(range(n), 2) if e not in missing]
+    return DualInstance(build_graph(n, edges, [1] * n), 1), edges
+
+
 @settings(max_examples=150, deadline=None)
 @given(dwc_cases())
 @example((DualInstance(build_graph(0, [], []), 1), []))
 @example((DualInstance(build_graph(1, [], [7]), 3), []))
+# dense rows whose only higher non-neighbour is n - 1, or u + 1, a row with
+# no higher neighbour at all, and a dense row with four non-neighbours
+@example(_complete_without(20, {(0, 19)}))
+@example(_complete_without(20, {(3, 4)}))
+@example(_complete_without(20, {(5, v) for v in range(6, 20)}))
+@example(_complete_without(70, {(0, 10), (0, 11), (0, 40), (0, 69)}))
 def test_dwc_round_trip_property(case):
     inst, edges = case
     g = inst.graph
